@@ -6,7 +6,11 @@ Artifacts go to the output directory:
 
 * ``manifest.json``      -- resolved parameters, integrator statistics,
                             package version, config echo, output listing;
-* ``state_t<label>.json``-- full reloadable cumulant state per output time;
+* ``state_t<label>.npy`` -- full reloadable cumulant state per output time:
+                            one 0-d structured array (fields ``format``,
+                            ``m``, ``dx``, ``boundary``, ``s``, ``t``, ``cu``,
+                            ``cv``, ``cuu``, ``cuv``, ``cvv``), readable with
+                            plain numpy as ``np.load(path)["cuu"]``;
 * ``<obs>_t<label>.csv`` -- one CSV per requested observable per output time
                             (intensity, ellipses, nrparams, spectrum, eta).
 
@@ -267,54 +271,65 @@ def resolve_config(cfg: dict) -> RunConfig:
 
 # -- formatting and emission ---------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _time_label(t: float) -> str:
     return f"{t:g}"
 
 
+_STATE_TAG = b"qsolsim-state-v2"
+_CSV_BLOCK = 4096
+
+
+def _state_dtype(m: int) -> np.dtype:
+    """Record layout of one snapshot: header scalars, then the five blocks."""
+    return np.dtype([
+        ("format", "S16"), ("m", "<i8"), ("dx", "<f8"), ("boundary", "S16"),
+        ("s", "<f8"), ("t", "<f8"),
+        ("cu", "<f8", (m,)), ("cv", "<f8", (m,)),
+        ("cuu", "<f8", (m, m)), ("cuv", "<f8", (m, m)), ("cvv", "<f8", (m, m)),
+    ])
+
+
 def emit_state(state: CumulantState, path) -> None:
-    """Write the full state as JSON (exact round trip, byte-stable)."""
-    doc = {
-        "format": "qsolsim-state-v1",
-        "grid": {"m": state.grid.m, "dx": state.grid.dx, "boundary": state.grid.boundary},
-        "s": state.s,
-        "t": state.t,
-        "cu": state.cu.tolist(),
-        "cv": state.cv.tolist(),
-        "cuu": state.cuu.tolist(),
-        "cuv": state.cuv.tolist(),
-        "cvv": state.cvv.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    """Write the full state as one ``.npy`` record (exact float64, byte-stable)."""
+    rec = np.zeros((), dtype=_state_dtype(state.grid.m))
+    rec["format"] = _STATE_TAG
+    rec["m"] = state.grid.m
+    rec["dx"] = state.grid.dx
+    rec["boundary"] = state.grid.boundary.encode("ascii")
+    for name in ("s", "t", "cu", "cv", "cuu", "cuv", "cvv"):
+        rec[name] = getattr(state, name)
+    with open(path, "wb") as fh:
+        np.save(fh, rec, allow_pickle=False)
 
 
 def load_state(path) -> CumulantState:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "qsolsim-state-v1":
+    """Reload a snapshot written by ``emit_state``; never unpickles."""
+    try:
+        with open(path, "rb") as fh:
+            rec = np.load(fh, allow_pickle=False)
+    except (ValueError, EOFError) as exc:  # not .npy, pickled, or truncated
+        raise ValueError(f"{path}: not a state snapshot") from exc
+    if not (isinstance(rec, np.ndarray) and rec.shape == ()
+            and rec.dtype.names == _state_dtype(1).names
+            and rec["format"] == _STATE_TAG
+            and rec.dtype == _state_dtype(int(rec["m"]))):
         raise ValueError(f"{path}: not a state snapshot")
-    grid = GridSpec(**doc["grid"])
-    return CumulantState(
-        grid, float(doc["s"]), float(doc["t"]),
-        np.array(doc["cu"]), np.array(doc["cv"]),
-        np.array(doc["cuu"]), np.array(doc["cuv"]), np.array(doc["cvv"]),
-    )
+    grid = GridSpec(m=int(rec["m"]), dx=float(rec["dx"]),
+                    boundary=rec["boundary"].item().decode("ascii"))
+    return CumulantState(grid, float(rec["s"]), float(rec["t"]), rec["cu"], rec["cv"],
+                         rec["cuu"], rec["cuv"], rec["cvv"])
 
 
 def _write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
-    is_int = [np.issubdtype(np.asarray(col).dtype, np.integer) for col in columns]
+    """Integer columns as ``%d``, the rest as 17 significant digits."""
+    columns = [np.asarray(col) for col in columns]
+    row = ",".join("%d" if np.issubdtype(col.dtype, np.integer) else "%.17g"
+                   for col in columns) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(
-                str(int(col[i])) if flag else _fmt(col[i])
-                for col, flag in zip(columns, is_int)) + "\n")
+        for a in range(0, len(columns[0]), _CSV_BLOCK):
+            block = zip(*(col[a:a + _CSV_BLOCK].tolist() for col in columns))
+            fh.write("".join([row % values for values in block]))
 
 
 def emit_intensity(state: CumulantState, path) -> None:
@@ -378,13 +393,16 @@ def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) / scale
 
 
-def _s_pair_report(rc: RunConfig) -> dict:
-    """Run the reordered twin and compare everything that must coincide."""
+def _s_pair_report(rc: RunConfig, states_a: list, results_a: list[dict]) -> dict:
+    """Run the reordered twin and compare everything that must coincide.
+
+    ``states_a`` and ``results_a`` are the primary trajectory at ``rc.s`` and
+    its observable results, as ``run`` already computed them.
+    """
     s2 = rc.s_pair[1]
-    states_a, _ = _run_trajectory(rc, rc.s)
     states_b, _ = _run_trajectory(rc, s2)
     entries = []
-    for st_a, st_b in zip(states_a, states_b):
+    for st_a, res_a, st_b in zip(states_a, results_a, states_b):
         back = reorder_s(st_b, rc.s)
         entry = {
             "t": st_a.t,
@@ -395,7 +413,6 @@ def _s_pair_report(rc: RunConfig) -> dict:
             ),
             "intensity_rel_dev": _rel_diff(intensity(st_a), intensity(st_b)),
         }
-        res_a = _observable_results(rc, st_a)
         res_b = _observable_results(rc, st_b)
         if "spectrum" in res_a:
             entry["spectrum_rel_dev"] = _rel_diff(res_a["spectrum"].s, res_b["spectrum"].s)
@@ -427,15 +444,17 @@ def run(cfg: dict, out_dir) -> dict:
     states, stats = _run_trajectory(rc, rc.s)
 
     outputs = []
+    all_results = []
     worst_heisenberg = math.inf
     for state in states:
         label = _time_label(state.t)
         report = validate(state)
         worst_heisenberg = min(worst_heisenberg, report.heisenberg_margin)
-        path = out / f"state_t{label}.json"
+        path = out / f"state_t{label}.npy"
         emit_state(state, path)
         outputs.append({"path": path.name, "kind": "state", "t": state.t})
         results = _observable_results(rc, state)
+        all_results.append(results)
         for obs in rc.observables:
             path = out / f"{obs}_t{label}.csv"
             if obs == "intensity":
@@ -492,7 +511,7 @@ def run(cfg: dict, out_dir) -> dict:
         "outputs": outputs,
     }
     if rc.s_pair is not None:
-        report = _s_pair_report(rc)
+        report = _s_pair_report(rc, states, all_results)
         with open(out / "s_pair_report.json", "w") as fh:
             json.dump(_sanitize(report), fh, sort_keys=True, indent=2)
             fh.write("\n")

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import qsolsim.cli as cli
 from qsolsim.cli import (
     ConfigError,
+    _write_csv,
     emit_state,
     load_state,
     main,
@@ -92,7 +94,7 @@ class TestArtifacts:
     def test_zero_duration_run_emits_initial_state(self, tmp_path):
         run(tiny_config(observables=["intensity", "ellipses", "nrparams"]), tmp_path)
         names = {p.name for p in tmp_path.iterdir()}
-        assert {"manifest.json", "state_t0.json", "intensity_t0.csv",
+        assert {"manifest.json", "state_t0.npy", "intensity_t0.csv",
                 "ellipses_t0.csv", "nrparams_t0.csv"} <= names
 
     def test_thermal_snapshot_intensity_column(self, tmp_path):
@@ -135,14 +137,63 @@ class TestArtifacts:
         state = type(state)(state.grid, state.s, 1.75,
                             rng.normal(size=7), rng.normal(size=7),
                             state.cuu, rng.normal(size=(7, 7)), state.cvv)
-        first = tmp_path / "one.json"
-        second = tmp_path / "two.json"
+        first = tmp_path / "one.npy"
+        second = tmp_path / "two.npy"
         emit_state(state, first)
         reloaded = load_state(first)
         emit_state(reloaded, second)
         assert filecmp.cmp(first, second, shallow=False)
         assert reloaded.t == state.t and reloaded.s == state.s
-        assert np.array_equal(reloaded.cuv, state.cuv)
+        assert reloaded.grid == state.grid
+        for name in ("cu", "cv", "cuu", "cuv", "cvv"):
+            assert np.array_equal(getattr(reloaded, name), getattr(state, name)), name
+        # plain numpy reads every field without the package
+        record = np.load(first, allow_pickle=False)
+        assert record["format"] == b"qsolsim-state-v2"
+        assert np.array_equal(record["cuv"], state.cuv)
+
+    def test_load_state_rejects_foreign_files(self, tmp_path, monkeypatch):
+        state = thermal_state(GridSpec(m=3, dx=0.5), 0.1, 0.0)
+        good = tmp_path / "good.npy"
+        emit_state(state, good)
+        record = np.load(good)
+        record["format"] = b"other-format-v1"
+        plain = tmp_path / "plain.npy"
+        np.save(plain, np.arange(5.0))
+        wrong_tag = tmp_path / "tag.npy"
+        np.save(wrong_tag, record)
+        old_json = tmp_path / "old.json"
+        old_json.write_text(json.dumps({
+            "format": "qsolsim-state-v1", "grid": {"m": 1, "dx": 1.0, "boundary": "absorbing"},
+            "s": 0.0, "t": 0.0, "cu": [0.0], "cv": [0.0],
+            "cuu": [[0.5]], "cuv": [[0.0]], "cvv": [[0.5]]}))
+        pickled = tmp_path / "pickled.npy"
+        np.save(pickled, np.array([{"format": "qsolsim-state-v2"}], dtype=object),
+                allow_pickle=True)
+
+        def no_unpickling(*args, **kwargs):
+            raise AssertionError("load_state must never unpickle")
+
+        monkeypatch.setattr("pickle.load", no_unpickling)
+        monkeypatch.setattr("pickle.loads", no_unpickling)
+        for path in (plain, wrong_tag, old_json, pickled):
+            with pytest.raises(ValueError, match="not a state snapshot"):
+                load_state(path)
+        assert np.array_equal(load_state(good).cuu, state.cuu)
+
+    def test_csv_matches_per_value_rendering(self, tmp_path):
+        rows = 2 * cli._CSV_BLOCK + 5
+        rng = np.random.default_rng(3)
+        j = np.arange(rows) - 7
+        x = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+        x[:6] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324]
+        y = rng.normal(size=rows)
+        path = tmp_path / "out.csv"
+        _write_csv(path, ["j", "x", "y"], [j, x, y])
+        expected = "j,x,y\n" + "".join(
+            f"{int(a)},{format(float(b), '.17g')},{format(float(c), '.17g')}\n"
+            for a, b, c in zip(j, x, y))
+        assert path.read_text() == expected
 
     def test_manifest_rederives_scaled_coefficients(self, tmp_path):
         from qsolsim.params import PhysicalInputs, derive_scales, rhs_coefficients
@@ -173,6 +224,21 @@ class TestArtifacts:
         assert comp["block_rel_dev"] < 1e-6
         assert comp["spectrum_rel_dev"] < 1e-6
         assert manifest["s_pair_report"]["comparisons"][0]["t"] == 0.1
+
+    def test_s_pair_run_propagates_twice(self, tmp_path, monkeypatch):
+        calls = []
+        propagate = cli.propagate
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].s)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "propagate", counting)
+        cfg = tiny_config(s_pair=[0.0, 0.85], t_end=0.05, output_times=[0.0, 0.05],
+                          observables=["intensity", "spectrum", "eta"])
+        run(cfg, tmp_path)
+        # the primary trajectory is reused for the comparison; only the twin is new
+        assert calls == [0.0, 0.85]
 
 
 class TestCommandLine:
