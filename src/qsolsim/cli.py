@@ -35,6 +35,7 @@ from .dynamics import RHSCoefficients, propagate
 from .integrator import IntegrationError, StepControl
 from .observables import (
     LOPulse,
+    _omega_internal,
     ellipse_arrays,
     frequency_grid,
     intensity,
@@ -63,9 +64,13 @@ _TOP_KEYS = {
     "lo_real", "lo_imag", "method", "atol", "rtol", "s_pair", "out_dir",
 }
 
-_PHYSICAL_KEYS = {"t0", "D", "Gamma", "lambda_c", "T", "nbar",
-                  "sign_chi", "sign_omega2", "delta_omega"}
-_SCALED_KEYS = {"gamma_t", "nbar", "delta_omega_t", "sign_chi", "sign_omega2"}
+# parameter block -> (required keys, optional keys); every member is a number
+_BLOCKS = {
+    "physical": ({"t0", "D", "Gamma"},
+                 {"lambda_c", "T", "nbar", "sign_chi", "sign_omega2", "delta_omega"}),
+    "scaled": ({"gamma_t", "nbar"}, {"delta_omega_t", "sign_chi", "sign_omega2"}),
+}
+_NUMBER = (int, float)
 
 
 class ConfigError(ValueError):
@@ -95,177 +100,161 @@ class RunConfig:
     out_dir: str | None = None
 
 
-def _get(cfg: dict, key: str, default, types, what: str):
-    if key not in cfg:
+def _is_number(val) -> bool:
+    """A finite int or float; JSON booleans and NaN/Infinity are not numbers."""
+    return isinstance(val, _NUMBER) and not isinstance(val, bool) and math.isfinite(val)
+
+
+def _get(cfg: dict, key: str, default, types, what: str, ok=None, rule: str = ""):
+    """``cfg[key]`` checked for type and range; absent or null gives ``default``."""
+    val = cfg.get(key)
+    if val is None:
         return default
-    val = cfg[key]
-    if not isinstance(val, types):
+    if not isinstance(val, types) or (isinstance(val, _NUMBER) and not _is_number(val)):
         raise ConfigError(f"key '{key}': expected {what}, got {val!r}")
+    if ok is not None and not ok(val):
+        raise ConfigError(f"key '{key}': {rule}, got {val!r}")
     return val
 
 
 def resolve_config(cfg: dict) -> RunConfig:
-    """Validate a raw config dict and resolve every derived quantity."""
+    """Validate a raw config dict and resolve every derived quantity.
+
+    This is the one validation boundary: any value the package's own
+    constructors reject (grid, parameters, LO, tolerances, frequencies)
+    comes back as ``ConfigError``, before anything is propagated or written.
+    """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    try:
+        return _resolve(cfg)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _resolve(cfg: dict) -> RunConfig:
     unknown = set(cfg) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    try:
-        m = int(_get(cfg, "m", 200, (int,), "an integer"))
-        dx = float(_get(cfg, "dx", 0.1, (int, float), "a number"))
-        boundary = _get(cfg, "boundary", "absorbing", (str,), "a string")
-        grid = GridSpec(m=m, dx=dx, boundary=boundary)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"grid block: {exc}") from exc
+    grid = GridSpec(m=_get(cfg, "m", 200, int, "an integer"),
+                    dx=float(_get(cfg, "dx", 0.1, _NUMBER, "a number")),
+                    boundary=_get(cfg, "boundary", "absorbing", str, "a string"))
+    s = float(_get(cfg, "s", 0.0, _NUMBER, "a number",
+                   lambda v: -1 <= v <= 1, "must lie in [-1, 1]"))
 
-    s = float(_get(cfg, "s", 0.0, (int, float), "a number"))
-    if not -1.0 <= s <= 1.0:
-        raise ConfigError(f"key 's': must lie in [-1, 1], got {s}")
-
-    has_phys = "physical" in cfg
-    has_scaled = "scaled" in cfg
-    if has_phys == has_scaled:
+    modes = [name for name in _BLOCKS if cfg.get(name) is not None]
+    if len(modes) != 1:
         raise ConfigError("exactly one of 'physical' or 'scaled' must be present")
-    n_th_override = cfg.get("n_th")
-    if n_th_override is not None and (not isinstance(n_th_override, (int, float))
-                                      or n_th_override < 0):
-        raise ConfigError(f"key 'n_th': must be a non-negative number, got {n_th_override!r}")
+    mode = modes[0]
+    block = {key: val for key, val in _get(cfg, mode, None, dict, "an object").items()
+             if val is not None}
+    required, optional = _BLOCKS[mode]
+    unknown, missing = set(block) - required - optional, required - set(block)
+    if unknown:
+        raise ConfigError(f"{mode} block: unknown keys {sorted(unknown)}")
+    if missing:
+        raise ConfigError(f"{mode} block: missing keys {sorted(missing)}")
+    members = {f"{mode}.{key}": val for key, val in block.items()}
+    for key in members:
+        _get(members, key, None, _NUMBER, "a number",
+             lambda v: "sign_" not in key or v in (-1, 1), "must be +1 or -1")
+    n_th = _get(cfg, "n_th", None, _NUMBER, "a number", lambda v: v >= 0, "must be non-negative")
 
-    if has_phys:
-        block = cfg["physical"]
-        if not isinstance(block, dict):
-            raise ConfigError("key 'physical': must be an object")
-        unknown = set(block) - _PHYSICAL_KEYS
-        if unknown:
-            raise ConfigError(f"physical block: unknown keys {sorted(unknown)}")
-        missing = {"t0", "D", "Gamma"} - set(block)
-        if missing:
-            raise ConfigError(f"physical block: missing keys {sorted(missing)}")
-        try:
-            inputs = PhysicalInputs(**block)
-            scaled = derive_scales(inputs, grid, s=s, n_th=n_th_override)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"physical block: {exc}") from exc
+    if mode == "physical":
+        scaled = derive_scales(PhysicalInputs(**block), grid, s=s, n_th=n_th)
     else:
-        block = cfg["scaled"]
-        if not isinstance(block, dict):
-            raise ConfigError("key 'scaled': must be an object")
-        unknown = set(block) - _SCALED_KEYS
-        if unknown:
-            raise ConfigError(f"scaled block: unknown keys {sorted(unknown)}")
-        missing = {"gamma_t", "nbar"} - set(block)
-        if missing:
-            raise ConfigError(f"scaled block: missing keys {sorted(missing)}")
-        if n_th_override is None:
+        if n_th is None:
             raise ConfigError("scaled mode requires an explicit 'n_th'")
-        try:
-            scaled = ScaledParams(
-                gamma_t=float(block["gamma_t"]),
-                disp_sign=int(block.get("sign_omega2", -1)),
-                chi_sign=int(block.get("sign_chi", 1)),
-                n0=float(block["nbar"]) * grid.dx,
-                nbar=float(block["nbar"]),
-                n_th=float(n_th_override),
-                delta_omega_t=float(block.get("delta_omega_t", 0.0)),
-                s=s,
-                t_d=math.nan,
-                x_d=math.nan,
-            )
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"scaled block: {exc}") from exc
+        scaled = ScaledParams(
+            gamma_t=float(block["gamma_t"]),
+            disp_sign=int(block.get("sign_omega2", -1)),
+            chi_sign=int(block.get("sign_chi", 1)),
+            n0=float(block["nbar"]) * grid.dx,
+            nbar=float(block["nbar"]),
+            n_th=float(n_th),
+            delta_omega_t=float(block.get("delta_omega_t", 0.0)),
+            s=s,
+            t_d=math.nan,
+            x_d=math.nan,
+        )
     coeffs = rhs_coefficients(scaled, grid)
 
-    initial = _get(cfg, "initial", "soliton", (str,), "a string")
-    if initial not in ("soliton", "thermal"):
-        raise ConfigError(f"key 'initial': must be 'soliton' or 'thermal', got {initial!r}")
-
-    t_end = float(_get(cfg, "t_end", 5.0, (int, float), "a number"))
-    if t_end < 0:
-        raise ConfigError(f"key 't_end': must be non-negative, got {t_end}")
-    raw_times = cfg.get("output_times", [t_end])
-    if (not isinstance(raw_times, list) or not raw_times
-            or not all(isinstance(t, (int, float)) for t in raw_times)):
-        raise ConfigError("key 'output_times': must be a non-empty list of numbers")
-    times = [float(t) for t in raw_times]
+    initial = _get(cfg, "initial", "soliton", str, "a string",
+                   lambda v: v in ("soliton", "thermal"), "must be 'soliton' or 'thermal'")
+    t_end = float(_get(cfg, "t_end", 5.0, _NUMBER, "a number",
+                       lambda v: v >= 0, "must be non-negative"))
+    times = [float(t) for t in _get(
+        cfg, "output_times", [t_end], list, "a list",
+        lambda v: v and all(map(_is_number, v)), "must be a non-empty list of numbers")]
     if times != sorted(times):
         raise ConfigError("key 'output_times': must be sorted ascending")
+    if times[0] < 0:
+        raise ConfigError(f"key 'output_times': first time {times[0]} is negative")
     if times[-1] > t_end:
         raise ConfigError(f"key 'output_times': last time {times[-1]} exceeds t_end {t_end}")
+    labels = [_time_label(t) for t in times]
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"key 'output_times': times share a file label in {labels}")
 
-    obs = _get(cfg, "observables", ["intensity"], (list,), "a list")
-    for name in obs:
-        if name not in OBSERVABLES:
-            raise ConfigError(f"key 'observables': unknown observable {name!r}; "
-                              f"choose from {OBSERVABLES}")
+    obs = _get(cfg, "observables", ["intensity"], list, "a list",
+               lambda v: all(name in OBSERVABLES for name in v),
+               f"unknown observable; choose from {OBSERVABLES}")
+    phase = _get(cfg, "spectrum_phase", "optimal", (str, *_NUMBER), "'optimal' or a number",
+                 lambda v: v == "optimal" or not isinstance(v, str),
+                 "must be 'optimal' or a number")
 
-    phase = cfg.get("spectrum_phase", "optimal")
-    if not (phase == "optimal" or isinstance(phase, (int, float))):
-        raise ConfigError("key 'spectrum_phase': must be 'optimal' or a number")
-
-    if any(k in cfg for k in ("omega_min", "omega_max", "omega_points")):
-        try:
-            omin = float(cfg["omega_min"])
-            omax = float(cfg["omega_max"])
-            onum = int(cfg["omega_points"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(
-                "omega grid: omega_min, omega_max and omega_points must be given together") from exc
-        if not (omax > omin and onum >= 2):
-            raise ConfigError("omega grid: need omega_max > omega_min and omega_points >= 2")
-        omega = np.linspace(omin, omax, onum)
-    else:
+    omin = _get(cfg, "omega_min", None, _NUMBER, "a number")
+    omax = _get(cfg, "omega_max", None, _NUMBER, "a number")
+    onum = _get(cfg, "omega_points", None, int, "an integer")
+    if (omin, omax, onum) == (None, None, None):
         omega = frequency_grid(grid)
-
-    eta_window = cfg.get("eta_window")
-    if eta_window is None:
-        eta_window = min_delta_omega(grid)
-    elif not isinstance(eta_window, (int, float)) or eta_window < min_delta_omega(grid) * (1 - 1e-9):
+    elif None in (omin, omax, onum):
         raise ConfigError(
-            f"key 'eta_window': must be a number >= the minimal resolvable "
-            f"{min_delta_omega(grid):g} (w0 units)")
-
-    if ("lo_real" in cfg) or ("lo_imag" in cfg):
-        lo_re = np.asarray(cfg.get("lo_real", [0.0] * grid.m), dtype=float)
-        lo_im = np.asarray(cfg.get("lo_imag", [0.0] * grid.m), dtype=float)
-        if lo_re.shape != (grid.m,) or lo_im.shape != (grid.m,):
-            raise ConfigError("lo_real / lo_imag must have one entry per cell")
-        try:
-            lo = LOPulse(lo_re + 1j * lo_im)
-        except ValueError as exc:
-            raise ConfigError(f"local oscillator: {exc}") from exc
+            "omega grid: omega_min, omega_max and omega_points must be given together")
+    elif not (omax > omin and onum >= 2):
+        raise ConfigError("omega grid: need omega_max > omega_min and omega_points >= 2")
     else:
+        omega = np.linspace(float(omin), float(omax), onum)
+        _omega_internal(grid, omega)  # the observables' sampling-bound check
+
+    eta_min = min_delta_omega(grid)
+    eta_window = float(_get(cfg, "eta_window", eta_min, _NUMBER, "a number",
+                            lambda v: v >= eta_min * (1 - 1e-9),
+                            f"must be >= the minimal resolvable {eta_min:g} (w0 units)"))
+
+    lo_re, lo_im = (_get(cfg, key, None, list, "a list",
+                         lambda v: len(v) == grid.m and all(map(_is_number, v)),
+                         f"must hold one number per cell ({grid.m})")
+                    for key in ("lo_real", "lo_imag"))
+    if lo_re is None and lo_im is None:
         lo = LOPulse.soliton(grid, scaled.n0)
+    else:
+        zeros = [0.0] * grid.m
+        lo = LOPulse(np.asarray(lo_re or zeros, dtype=float)
+                     + 1j * np.asarray(lo_im or zeros, dtype=float))
 
-    method = _get(cfg, "method", "dp853", (str,), "a string")
-    if method not in TABLEAUS:
-        raise ConfigError(f"key 'method': must be one of {sorted(TABLEAUS)}, got {method!r}")
-    atol = float(_get(cfg, "atol", 1e-9, (int, float), "a number"))
-    rtol = float(_get(cfg, "rtol", 1e-9, (int, float), "a number"))
-    try:
-        control = StepControl(atol=atol, rtol=rtol)
-    except ValueError as exc:
-        raise ConfigError(f"integrator tolerances: {exc}") from exc
+    method = _get(cfg, "method", "dp853", str, "a string",
+                  lambda v: v in TABLEAUS, f"must be one of {sorted(TABLEAUS)}")
+    control = StepControl(atol=float(_get(cfg, "atol", 1e-9, _NUMBER, "a number")),
+                          rtol=float(_get(cfg, "rtol", 1e-9, _NUMBER, "a number")))
 
-    s_pair = cfg.get("s_pair")
+    s_pair = _get(cfg, "s_pair", None, list, "a list",
+                  lambda v: len(v) == 2 and all(_is_number(x) and -1 <= x <= 1 for x in v),
+                  "must be a pair of ordering parameters in [-1, 1]")
     if s_pair is not None:
-        if (not isinstance(s_pair, list) or len(s_pair) != 2
-                or not all(isinstance(v, (int, float)) and -1 <= v <= 1 for v in s_pair)):
-            raise ConfigError("key 's_pair': must be a pair of ordering parameters in [-1, 1]")
         s_pair = [float(v) for v in s_pair]
         if s_pair[0] != s:
             raise ConfigError("key 's_pair': first entry must equal 's'")
 
-    out_dir = cfg.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("key 'out_dir': must be a string path")
-
     return RunConfig(
         raw=cfg, grid=grid, scaled=scaled, coeffs=coeffs, s=s, initial=initial,
         t_end=t_end, output_times=times, observables=list(obs),
-        spectrum_phase=phase, omega=omega, eta_window=float(eta_window),
-        lo=lo, method=method, control=control, s_pair=s_pair, out_dir=out_dir,
+        spectrum_phase=phase, omega=omega, eta_window=eta_window, lo=lo, method=method,
+        control=control, s_pair=s_pair,
+        out_dir=_get(cfg, "out_dir", None, str, "a string path"),
     )
 
 
@@ -333,48 +322,44 @@ def _write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
 
 
 def emit_intensity(state: CumulantState, path) -> None:
-    x = state.grid.positions()
     _write_csv(path, ["j", "x", "intensity"],
-               [np.arange(state.grid.m), x, intensity(state)])
+               [np.arange(state.grid.m), state.grid.positions(), intensity(state)])
 
 
 def emit_ellipses(state: CumulantState, path) -> None:
-    x = state.grid.positions()
     big, small, phi = ellipse_arrays(state)
     _write_csv(path, ["j", "x", "B", "b", "phi"],
-               [np.arange(state.grid.m), x, big, small, phi])
+               [np.arange(state.grid.m), state.grid.positions(), big, small, phi])
 
 
 def emit_nrparams(state: CumulantState, path) -> None:
-    x = state.grid.positions()
     n, r, theta, margin = nr_arrays(state)
     _write_csv(path, ["j", "x", "n", "r", "theta", "margin"],
-               [np.arange(state.grid.m), x, n, r, theta, margin])
+               [np.arange(state.grid.m), state.grid.positions(), n, r, theta, margin])
 
 
-def emit_spectrum(result, path) -> None:
+def emit_spectrum(result, path) -> dict:
+    """Write the spectrum CSV; return the manifest extras of the entry."""
     _write_csv(path, ["omega", "s", "s_min", "phi_opt"],
                [result.omega, result.s, result.s_min, result.phi_opt])
+    return {"i0": result.i0}
 
 
-def emit_eta(result, path) -> None:
-    """Long-form CSV: one row per frequency pair."""
+def emit_eta(result, path) -> dict:
+    """Long-form CSV, one row per frequency pair; return the manifest extras."""
     k = len(result.omega)
-    o1 = np.repeat(result.omega, k)
-    o2 = np.tile(result.omega, k)
-    _write_csv(path, ["omega1", "omega2", "eta"], [o1, o2, result.eta.ravel()])
+    _write_csv(path, ["omega1", "omega2", "eta"],
+               [np.repeat(result.omega, k), np.tile(result.omega, k), result.eta.ravel()])
+    return {"delta_omega": result.delta_omega, "undefined_entries": result.n_undefined}
 
 
 # -- run orchestration -----------------------------------------------------------
 
-def _initial_state(rc: RunConfig, s: float) -> CumulantState:
-    if rc.initial == "soliton":
-        return fundamental_soliton(rc.grid, rc.scaled.n0, rc.scaled.n_th, s)
-    return thermal_state(rc.grid, rc.scaled.n_th, s)
-
-
 def _run_trajectory(rc: RunConfig, s: float):
-    state0 = _initial_state(rc, s)
+    if rc.initial == "soliton":
+        state0 = fundamental_soliton(rc.grid, rc.scaled.n0, rc.scaled.n_th, s)
+    else:
+        state0 = thermal_state(rc.grid, rc.scaled.n_th, s)
     return propagate(state0, rc.coeffs, rc.t_end, output_times=rc.output_times,
                      tableau=TABLEAUS[rc.method], control=rc.control)
 
@@ -406,11 +391,8 @@ def _s_pair_report(rc: RunConfig, states_a: list, results_a: list[dict]) -> dict
         back = reorder_s(st_b, rc.s)
         entry = {
             "t": st_a.t,
-            "block_rel_dev": max(
-                _rel_diff(st_a.cu, back.cu), _rel_diff(st_a.cv, back.cv),
-                _rel_diff(st_a.cuu, back.cuu), _rel_diff(st_a.cuv, back.cuv),
-                _rel_diff(st_a.cvv, back.cvv),
-            ),
+            "block_rel_dev": max(_rel_diff(getattr(st_a, name), getattr(back, name))
+                                 for name in ("cu", "cv", "cuu", "cuv", "cvv")),
             "intensity_rel_dev": _rel_diff(intensity(st_a), intensity(st_b)),
         }
         res_b = _observable_results(rc, st_b)
@@ -435,6 +417,12 @@ def _sanitize(obj):
     return obj
 
 
+def _write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(_sanitize(obj), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def run(cfg: dict, out_dir) -> dict:
     """Execute a validated config; write artifacts; return the manifest."""
     rc = resolve_config(cfg)
@@ -443,37 +431,23 @@ def run(cfg: dict, out_dir) -> dict:
 
     states, stats = _run_trajectory(rc, rc.s)
 
+    # kind -> emitter of the state or of that kind's observable result; built
+    # here so each name is looked up when the run starts, not at import
+    emitters = {"state": emit_state, "intensity": emit_intensity,
+                "ellipses": emit_ellipses, "nrparams": emit_nrparams,
+                "spectrum": emit_spectrum, "eta": emit_eta}
     outputs = []
     all_results = []
     worst_heisenberg = math.inf
     for state in states:
         label = _time_label(state.t)
-        report = validate(state)
-        worst_heisenberg = min(worst_heisenberg, report.heisenberg_margin)
-        path = out / f"state_t{label}.npy"
-        emit_state(state, path)
-        outputs.append({"path": path.name, "kind": "state", "t": state.t})
+        worst_heisenberg = min(worst_heisenberg, validate(state).heisenberg_margin)
         results = _observable_results(rc, state)
         all_results.append(results)
-        for obs in rc.observables:
-            path = out / f"{obs}_t{label}.csv"
-            if obs == "intensity":
-                emit_intensity(state, path)
-            elif obs == "ellipses":
-                emit_ellipses(state, path)
-            elif obs == "nrparams":
-                emit_nrparams(state, path)
-            elif obs == "spectrum":
-                emit_spectrum(results["spectrum"], path)
-            elif obs == "eta":
-                emit_eta(results["eta"], path)
-            entry = {"path": path.name, "kind": obs, "t": state.t}
-            if obs == "spectrum":
-                entry["i0"] = results["spectrum"].i0
-            if obs == "eta":
-                entry["delta_omega"] = results["eta"].delta_omega
-                entry["undefined_entries"] = results["eta"].n_undefined
-            outputs.append(entry)
+        for kind in ("state", *rc.observables):
+            path = out / f"{kind}_t{label}{'.npy' if kind == 'state' else '.csv'}"
+            extras = emitters[kind](results.get(kind, state), path)
+            outputs.append({"path": path.name, "kind": kind, "t": state.t, **(extras or {})})
 
     manifest = {
         "package": "qsolsim",
@@ -512,14 +486,9 @@ def run(cfg: dict, out_dir) -> dict:
     }
     if rc.s_pair is not None:
         report = _s_pair_report(rc, states, all_results)
-        with open(out / "s_pair_report.json", "w") as fh:
-            json.dump(_sanitize(report), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(out / "s_pair_report.json", report)
         manifest["s_pair_report"] = report
-
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(_sanitize(manifest), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out / "manifest.json", manifest)
     return manifest
 
 

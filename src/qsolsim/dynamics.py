@@ -325,6 +325,6 @@ def propagate(state: CumulantState, coeffs: RHSCoefficients, t_end: float,
     result = integrate(
         fun, state.flatten(), state.t, t_end,
         tableau=tableau, control=control,
-        output_times=output_times, observer=on_output, record_outputs=False,
+        output_times=output_times, observer=on_output,
     )
     return states, result.stats

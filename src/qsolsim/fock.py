@@ -269,10 +269,11 @@ def evolve_density(config: FockConfig, rho0: np.ndarray, t_grid,
 
     t_grid = [float(t) for t in t_grid]
     control = control or StepControl(atol=1e-12, rtol=1e-10)
-    result = integrate(fun, rho0.astype(complex).ravel(), 0.0, max(t_grid),
-                       control=control, output_times=t_grid)
+    outputs = []
+    integrate(fun, rho0.astype(complex).ravel(), 0.0, max(t_grid), control=control,
+              output_times=t_grid, observer=lambda t, y: outputs.append(y.copy()))
     rhos = []
-    for t, flat in zip(t_grid, result.outputs):
+    for t, flat in zip(t_grid, outputs):
         rho = flat.reshape(dim, dim)
         _check_density(config, rho, t, positivity=positivity_check)
         rhos.append(rho)

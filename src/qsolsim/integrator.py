@@ -57,27 +57,23 @@ class NonFiniteStateError(IntegrationError):
     pass
 
 
+# step-size controller: safety factor and the clamps on the per-step change
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+
+
 @dataclass(frozen=True)
 class StepControl:
-    """Tolerances and limits of the adaptive step-size controller."""
+    """Tolerances and rejection limit of the adaptive step-size controller."""
 
     atol: float = 1e-9
     rtol: float = 1e-9
-    safety: float = 0.9
-    min_factor: float = 0.2
-    max_factor: float = 10.0
-    h_min: float = 0.0          # 0: floor at ~16 ulp of the current time
-    h_max: float = math.inf
     max_rejects: int = 50
-    first_step: float | None = None
 
     def __post_init__(self):
         if not (self.atol > 0 and self.rtol > 0):
             raise ValueError("tolerances must be positive")
-        if not (0 < self.safety < 1):
-            raise ValueError("safety factor must lie in (0, 1)")
-        if self.h_min < 0 or self.h_max <= 0:
-            raise ValueError("step bounds must be non-negative / positive")
 
 
 @dataclass
@@ -173,17 +169,17 @@ def step(fun, t: float, y: np.ndarray, h: float, tableau: Tableau,
 
     if math.isfinite(err) and err < 1.0:
         if err == 0.0:
-            factor = control.max_factor
+            factor = MAX_FACTOR
         else:
-            factor = min(control.max_factor, control.safety * err ** exponent)
+            factor = min(MAX_FACTOR, SAFETY * err ** exponent)
         if rejected_before:
             factor = min(1.0, factor)
         result = StepResult(t + h, y_new, f_new, err, True, h, h * factor)
     else:
         if math.isfinite(err):
-            factor = max(control.min_factor, control.safety * err ** exponent)
+            factor = max(MIN_FACTOR, SAFETY * err ** exponent)
         else:  # overflow in a trial stage: back off hard
-            factor = control.min_factor
+            factor = MIN_FACTOR
         result = StepResult(t, y, None, err, False, h, h * factor)
     if stats is not None:
         stats.record(h, result.accepted)
@@ -197,7 +193,7 @@ def _initial_step(fun, t0, y0, f0, t_end, tab, control, stats) -> float:
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, span, control.h_max)
+    h0 = min(h0, span)
     y1 = y0 + h0 * f0
     f1 = fun(t0 + h0, y1)
     stats.n_rhs += 1
@@ -206,28 +202,25 @@ def _initial_step(fun, t0, y0, f0, t_end, tab, control, stats) -> float:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1.0 / (tab.error_order + 1))
-    return min(100 * h0, h1, span, control.h_max)
+    return min(100 * h0, h1, span)
 
 
 @dataclass
 class IntegrationResult:
     t: float
     y: np.ndarray
-    output_times: np.ndarray
-    outputs: list
     stats: StepStats = field(default_factory=StepStats)
 
 
 def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
               tableau: Tableau = DORMAND_PRINCE_853,
               control: StepControl = StepControl(),
-              output_times=(), observer=None,
-              record_outputs: bool = True) -> IntegrationResult:
+              output_times=(), observer=None) -> IntegrationResult:
     """Advance y' = fun(t, y) from t0 to exactly t_end.
 
     ``output_times`` are hit exactly by clipping the step; at each one the
-    ``observer`` callback (if any) receives (t, y) and the raw vector is
-    recorded when ``record_outputs`` is set.  The step size resumes its
+    ``observer`` callback (if any) receives (t, y).  ``y`` is not copied, so
+    an observer that keeps it must copy it.  The step size resumes its
     adaptive suggestion after a clipped step.
     """
     if t_end < t0:
@@ -236,42 +229,30 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
     if y.ndim != 1:
         raise ValueError("state must be a flat vector")
     stats = StepStats()
-    out_times = sorted(float(t) for t in output_times)
-    for t in out_times:
+    pending = sorted(float(t) for t in output_times)
+    for t in pending:
         if t < t0 - 1e-15 or t > t_end + 1e-15:
             raise ValueError(f"output time {t} outside [{t0}, {t_end}]")
-    result = IntegrationResult(t0, y, np.array(out_times), [], stats)
 
     t = t0
-    pending = list(out_times)
-
-    def emit(t_now, y_now):
-        if observer is not None:
-            observer(t_now, y_now)
-        if record_outputs:
-            result.outputs.append(np.array(y_now, copy=True))
-
     while pending and pending[0] <= t0:
-        emit(t0, y)
+        if observer is not None:
+            observer(t0, y)
         pending.pop(0)
     if t_end == t0:
-        result.t, result.y = t, y
-        return result
+        return IntegrationResult(t, y, stats)
 
     f = fun(t, y)
     stats.n_rhs += 1
-    if control.first_step is not None:
-        h = float(control.first_step)
-    else:
-        with np.errstate(all="ignore"):
-            h = _initial_step(fun, t, y, f, t_end, tableau, control, stats)
+    with np.errstate(all="ignore"):
+        h = _initial_step(fun, t, y, f, t_end, tableau, control, stats)
     if not math.isfinite(h) or h <= 0:  # pathological scales; let control sort it out
         h = min(t_end - t0, 1e-6)
 
     rejected = False
     rejects_in_row = 0
     while t < t_end:
-        h_floor = control.h_min if control.h_min > 0 else 16.0 * abs(math.ulp(t))
+        h_floor = 16.0 * abs(math.ulp(t))
         if h < h_floor:
             raise StepSizeUnderflow(
                 f"step size {h:.3e} fell below the floor {h_floor:.3e}", t)
@@ -291,7 +272,8 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
             rejected = False
             rejects_in_row = 0
             while pending and t >= pending[0]:
-                emit(t, y)
+                if observer is not None:
+                    observer(t, y)
                 pending.pop(0)
         else:
             h = res.h_next
@@ -301,8 +283,7 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
                 raise IntegrationError(
                     f"more than {control.max_rejects} consecutive step rejections", t)
 
-    result.t, result.y = t, y
-    return result
+    return IntegrationResult(t, y, stats)
 
 
 def integrate_fixed(fun, y0: np.ndarray, t0: float, t_end: float, n_steps: int,

@@ -54,14 +54,6 @@ class GridSpec:
         """Cell centers x_j = dx * (j - floor(m/2))."""
         return self.dx * (np.arange(self.m) - self.m // 2)
 
-    @property
-    def length(self) -> float:
-        return self.m * self.dx
-
-
-def _symmetrize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
-
 
 @dataclass(frozen=True)
 class CumulantState:
@@ -114,11 +106,6 @@ class CumulantState:
             self.cu.copy(), self.cv.copy(),
             self.cuu.copy(), self.cuv.copy(), self.cvv.copy(),
         )
-
-    @property
-    def mean_field(self) -> np.ndarray:
-        """Complex mean amplitude per cell, cu + i cv."""
-        return self.cu + 1j * self.cv
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,52 @@ class TestConfigValidation:
             rc = resolve_config(scenario_config(name))
             assert rc.grid.m >= 3, name
 
+    @pytest.mark.parametrize("mutation", [
+        dict(t_end=math.nan),
+        dict(t_end=math.inf),
+        dict(dx=math.inf),
+        dict(n_th=math.inf),
+        dict(atol=math.inf),
+        dict(eta_window=math.inf),
+        dict(spectrum_phase=math.nan),
+        dict(output_times=[0.0, math.nan]),
+        dict(scaled={"gamma_t": math.nan, "nbar": 1e4}),
+        dict(scaled={"gamma_t": 0.01, "nbar": 1e4, "delta_omega_t": -math.inf}),
+        dict(m=True),
+        dict(s=True),
+        dict(n_th=False),
+        dict(output_times=[False]),
+        dict(scaled={"gamma_t": False, "nbar": 1e4}),
+        dict(scaled={"gamma_t": 0.01, "nbar": 1e4, "sign_omega2": 0.5}),
+        dict(output_times=[-0.5, 0.0]),
+        dict(lo_real=["a"] * 12),
+    ])
+    def test_rejects_before_propagation(self, mutation, tmp_path, capsys):
+        cfg = tiny_config(**mutation)
+        with pytest.raises(ConfigError):
+            resolve_config(cfg)
+        if cfg["t_end"] == math.inf:  # a run to t = inf would never end
+            return
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))  # NaN/Infinity as Python's json writes them
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rejects_omega_grid_beyond_sampling_bound(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_config(omega_min=-1.0, omega_max=100.0,
+                                               omega_points=5)))
+        assert main(["run", str(path), "--validate-only"]) == 2
+        assert "sampling bound" in capsys.readouterr().err
+
+    def test_rejects_output_times_sharing_a_file_label(self):
+        # both print as 0.005, so both would write state_t0.005.npy
+        cfg = tiny_config(t_end=0.01, output_times=[0.0050000001, 0.0050000002])
+        with pytest.raises(ConfigError, match="label"):
+            resolve_config(cfg)
+
 
 class TestArtifacts:
     def test_zero_duration_run_emits_initial_state(self, tmp_path):
@@ -242,6 +288,25 @@ class TestArtifacts:
 
 
 class TestCommandLine:
+    def test_hooks_are_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        # the benchmark times these names by replacing the module attributes
+        names = ("resolve_config", "emit_state", "emit_intensity", "emit_ellipses",
+                 "emit_nrparams", "emit_spectrum", "emit_eta")
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_config(observables=list(cli.OBSERVABLES))))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert all(calls.values()), calls
+
     def test_list_scenarios(self, capsys):
         assert main(["--list-scenarios"]) == 0
         out = capsys.readouterr().out

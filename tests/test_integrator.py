@@ -65,9 +65,11 @@ class TestIntegrate:
         assert res.t == 2.7182
 
     def test_zero_duration(self):
-        res = integrate(lambda t, y: -y, np.array([3.0]), 0.0, 0.0, output_times=[0.0])
+        seen = []
+        res = integrate(lambda t, y: -y, np.array([3.0]), 0.0, 0.0, output_times=[0.0],
+                        observer=lambda t, y: seen.append((t, y.copy())))
         assert res.t == 0.0 and res.y[0] == 3.0
-        assert len(res.outputs) == 1
+        assert [(t, y.tolist()) for t, y in seen] == [(0.0, [3.0])]
 
     def test_output_times_hit_exactly(self):
         seen = []
@@ -82,10 +84,13 @@ class TestIntegrate:
         def fun(t, y):
             return np.array([y[1], -y[0] * (1 + 0.1 * np.sin(t))])
 
-        a = integrate(fun, np.array([1.0, 0.0]), 0.0, 10.0, output_times=[5.0, 10.0])
-        b = integrate(fun, np.array([1.0, 0.0]), 0.0, 10.0, output_times=[5.0, 10.0])
+        seen_a, seen_b = [], []
+        a = integrate(fun, np.array([1.0, 0.0]), 0.0, 10.0, output_times=[5.0, 10.0],
+                      observer=lambda t, y: seen_a.append(y.tobytes()))
+        b = integrate(fun, np.array([1.0, 0.0]), 0.0, 10.0, output_times=[5.0, 10.0],
+                      observer=lambda t, y: seen_b.append(y.tobytes()))
         assert a.y.tobytes() == b.y.tobytes()
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.outputs, b.outputs))
+        assert len(seen_a) == 2 and seen_a == seen_b
 
     def test_tolerance_halving_never_hurts(self):
         # on a linear problem the final error must not grow when both
