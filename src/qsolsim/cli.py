@@ -202,6 +202,8 @@ def _resolve(cfg: dict) -> RunConfig:
     obs = _get(cfg, "observables", ["intensity"], list, "a list",
                lambda v: all(name in OBSERVABLES for name in v),
                f"unknown observable; choose from {OBSERVABLES}")
+    if len(set(obs)) != len(obs):
+        raise ConfigError(f"key 'observables': repeated entries in {obs}")
     phase = _get(cfg, "spectrum_phase", "optimal", (str, *_NUMBER), "'optimal' or a number",
                  lambda v: v == "optimal" or not isinstance(v, str),
                  "must be 'optimal' or a number")

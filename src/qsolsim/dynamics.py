@@ -48,11 +48,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import CumulantDerivative, CumulantState
+from .state import CumulantDerivative, CumulantState, split_flat
 
 __all__ = [
     "RHSCoefficients",
     "rhs",
+    "rhs_scratch",
     "rhs_first_order",
     "rhs_second_order",
     "second_order_asymmetry",
@@ -97,40 +98,58 @@ class RHSCoefficients:
 
 # -- boundary-aware stencils -------------------------------------------------
 
+def _lap(f: np.ndarray, axis: int, boundary: str, out=None, tmp=None) -> np.ndarray:
+    """f(j+1) - 2 f(j) + f(j-1) along ``axis``, written into ``out``.
+
+    A periodic stencil needs ``tmp`` (same shape as f) for the neighbour sum;
+    both buffers are allocated when not given.
+    """
+    def along(sl):
+        return (slice(None),) * axis + (sl,)
+
+    if out is None:
+        out = np.empty_like(f)
+    np.multiply(f, -2.0, out=out)
+    if boundary == "periodic":
+        # tmp = roll(f, 1) + roll(f, -1), built from slices instead of copies
+        if tmp is None:
+            tmp = np.empty_like(f)
+        n = f.shape[axis]
+        np.add(f[along(slice(None, -2))], f[along(slice(2, None))],
+               out=tmp[along(slice(1, -1))])
+        tmp[along([0, n - 1])] = f[along([n - 1, (n - 2) % n])] + f[along([1 % n, 0])]
+        out += tmp
+    else:  # absorbing: out-of-range cells read as zero
+        out[along(slice(None, -1))] += f[along(slice(1, None))]
+        out[along(slice(1, None))] += f[along(slice(None, -1))]
+    return out
+
+
 def lap_vec(f: np.ndarray, boundary: str) -> np.ndarray:
     """Three-point Laplacian stencil on a vector."""
-    out = -2.0 * f
-    if boundary == "periodic":
-        out += np.roll(f, 1) + np.roll(f, -1)
-    else:  # absorbing: out-of-range cells read as zero
-        out[:-1] += f[1:]
-        out[1:] += f[:-1]
-    return out
+    return _lap(f, 0, boundary)
 
 
-def lap_rows(mat: np.ndarray, boundary: str) -> np.ndarray:
+def lap_rows(mat: np.ndarray, boundary: str, out=None) -> np.ndarray:
     """Laplacian stencil applied to the first (row) index."""
-    out = -2.0 * mat
-    if boundary == "periodic":
-        out += np.roll(mat, 1, axis=0) + np.roll(mat, -1, axis=0)
-    else:
-        out[:-1, :] += mat[1:, :]
-        out[1:, :] += mat[:-1, :]
-    return out
+    return _lap(mat, 0, boundary, out)
 
 
-def lap_cols(mat: np.ndarray, boundary: str) -> np.ndarray:
+def lap_cols(mat: np.ndarray, boundary: str, out=None) -> np.ndarray:
     """Laplacian stencil applied to the second (column) index."""
-    out = -2.0 * mat
-    if boundary == "periodic":
-        out += np.roll(mat, 1, axis=1) + np.roll(mat, -1, axis=1)
-    else:
-        out[:, :-1] += mat[:, 1:]
-        out[:, 1:] += mat[:, :-1]
-    return out
+    return _lap(mat, 1, boundary, out)
 
 
 # -- right-hand sides --------------------------------------------------------
+
+def rhs_scratch(m: int) -> np.ndarray:
+    """Work blocks for ``rhs(..., scratch=)``; reusable across states of size m.
+
+    Six m x m blocks: the raw uu and vv derivatives and four temporaries of
+    the second-order assembly, which is ordered so that no more are needed.
+    """
+    return np.empty((6, m, m))
+
 
 def _local_factors(state: CumulantState):
     duu = np.diag(state.cuu)
@@ -171,8 +190,18 @@ def rhs_first_order(state: CumulantState, coeffs: RHSCoefficients):
     return dcu, dcv
 
 
-def _rhs_second_order_raw(state: CumulantState, coeffs: RHSCoefficients):
-    # Hot path: assembled with in-place accumulation.  The v-u cross block is
+def _set_diag(mat: np.ndarray, diag: np.ndarray) -> None:
+    """mat = np.diag(diag), written in place."""
+    mat.fill(0.0)
+    np.fill_diagonal(mat, diag)
+
+
+def _rhs_second_order_raw(state: CumulantState, coeffs: RHSCoefficients,
+                          duu, duv, dvv, work) -> None:
+    # Hot path: assembled into the given blocks with in-place accumulation;
+    # ``work`` holds four m x m temporaries.  Every term is the same sequence
+    # of floating-point operations as a term-by-term evaluation, so results
+    # do not depend on which buffers are reused.  The v-u cross block is
     # cuv.T, and the stencil in the first slot of a transposed block equals
     # the transpose of the stencil in the second slot (lapL(M.T) = lapR(M).T),
     # so each Laplacian is evaluated once and reused transposed.
@@ -183,61 +212,64 @@ def _rhs_second_order_raw(state: CumulantState, coeffs: RHSCoefficients):
     dw, d2, x = coeffs.delta_omega_t, coeffs.d2, coeffs.chi_t
     src = coeffs.thermal_src(state.s)
     sx = state.s * x
+    hsum, rot_uv, tmp, acc = work
 
-    sym_uv = cuv + cuv.T
-    hsum = h[:, None] + h[None, :]
-    lap2_uv = lap_cols(cuv, bnd)   # stencil on the v slot of <<u v'>>
-    lap1_uv = lap_rows(cuv, bnd)   # stencil on the u slot of <<u v'>>
+    np.add(h[:, None], h[None, :], out=hsum)
+    np.add(cuv, cuv.T, out=rot_uv)
+    rot_uv *= dw     # dw * (cuv + cuv^T), shared by the uu and vv blocks
 
     # uu block: damping source + decay, phase rotation, dispersion, Kerr
-    duu = np.diag(src + sx * h)
-    duu += dw * sym_uv
-    duu -= two_gamma * cuu
-    work = lap2_uv + lap2_uv.T
-    work *= -d2
-    duu += work
-    work = cuv * g1[None, :]
-    work += work.T.copy()
-    work *= x
-    duu += work
-    work = cuu * hsum
-    work *= 2.0 * x
-    duu += work
+    _set_diag(duu, src + sx * h)
+    duu += rot_uv
+    duu -= np.multiply(cuu, two_gamma, out=tmp)
+    _lap(cuv, 1, bnd, tmp, acc)     # stencil on the v slot of <<u v'>>
+    np.add(tmp, tmp.T, out=acc)
+    acc *= -d2
+    duu += acc
+    np.multiply(cuv, g1[None, :], out=tmp)
+    np.add(tmp, tmp.T, out=acc)
+    acc *= x
+    duu += acc
+    np.multiply(cuu, hsum, out=tmp)
+    tmp *= 2.0 * x
+    duu += tmp
 
     # vv block: mirror of the uu block under u <-> v
-    dvv = np.diag(src - sx * h)
-    dvv -= dw * sym_uv
-    dvv -= two_gamma * cvv
-    work = lap1_uv + lap1_uv.T
-    work *= d2
-    dvv += work
-    work = cuv * g2[:, None]
-    work += work.T.copy()
-    work *= -x
-    dvv += work
-    work = cvv * hsum
-    work *= -2.0 * x
-    dvv += work
+    _set_diag(dvv, src - sx * h)
+    dvv -= rot_uv
+    dvv -= np.multiply(cvv, two_gamma, out=tmp)
+    _lap(cuv, 0, bnd, tmp, acc)     # stencil on the u slot of <<u v'>>
+    np.add(tmp, tmp.T, out=acc)
+    acc *= d2
+    dvv += acc
+    np.multiply(cuv, g2[:, None], out=tmp)
+    np.add(tmp, tmp.T, out=acc)
+    acc *= -x
+    dvv += acc
+    np.multiply(cvv, hsum, out=tmp)
+    tmp *= -2.0 * x
+    dvv += tmp
 
     # uv block
-    duv = np.diag(0.5 * sx * (state.cv ** 2 + diag_vv - state.cu ** 2 - diag_uu))
-    duv += dw * (cvv - cuu)
-    duv -= two_gamma * cuv
-    work = lap_cols(cuu, bnd)
-    work -= lap_rows(cvv, bnd)
-    work *= d2
-    duv += work
-    work = cuu * g2[None, :]
-    work *= -x
-    duv += work
-    work = cvv * g1[:, None]
-    work *= x
-    duv += work
-    work = cuv * (h[:, None] - h[None, :])
-    work *= 2.0 * x
-    duv += work
-
-    return duu, duv, dvv
+    _set_diag(duv, 0.5 * sx * (state.cv ** 2 + diag_vv - state.cu ** 2 - diag_uu))
+    np.subtract(cvv, cuu, out=tmp)
+    tmp *= dw
+    duv += tmp
+    duv -= np.multiply(cuv, two_gamma, out=tmp)
+    _lap(cuu, 1, bnd, tmp, acc)
+    tmp -= _lap(cvv, 0, bnd, acc, hsum)
+    tmp *= d2
+    duv += tmp
+    np.multiply(cuu, g2[None, :], out=tmp)
+    tmp *= -x
+    duv += tmp
+    np.multiply(cvv, g1[:, None], out=tmp)
+    tmp *= x
+    duv += tmp
+    np.subtract(h[:, None], h[None, :], out=acc)
+    np.multiply(cuv, acc, out=tmp)
+    tmp *= 2.0 * x
+    duv += tmp
 
 
 def rhs_second_order(state: CumulantState, coeffs: RHSCoefficients):
@@ -247,13 +279,15 @@ def rhs_second_order(state: CumulantState, coeffs: RHSCoefficients):
     floating-point noise only and can be inspected with
     ``second_order_asymmetry``.
     """
-    duu, duv, dvv = _rhs_second_order_raw(state, coeffs)
-    return 0.5 * (duu + duu.T), duv, 0.5 * (dvv + dvv.T)
+    deriv = rhs(state, coeffs)
+    return deriv.cuu, deriv.cuv, deriv.cvv
 
 
 def second_order_asymmetry(state: CumulantState, coeffs: RHSCoefficients) -> float:
     """Max relative asymmetry of the raw (pre-symmetrization) uu/vv derivatives."""
-    duu, _, dvv = _rhs_second_order_raw(state, coeffs)
+    m = state.grid.m
+    duu, dvv, *work = rhs_scratch(m)
+    _rhs_second_order_raw(state, coeffs, duu, np.empty((m, m)), dvv, work)
     out = 0.0
     for mat in (duu, dvv):
         scale = max(float(np.max(np.abs(mat))), 1.0)
@@ -261,11 +295,29 @@ def second_order_asymmetry(state: CumulantState, coeffs: RHSCoefficients) -> flo
     return out
 
 
-def rhs(state: CumulantState, coeffs: RHSCoefficients) -> CumulantDerivative:
-    """Full Gaussian-closure derivative of every cumulant block."""
-    dcu, dcv = rhs_first_order(state, coeffs)
-    duu, duv, dvv = rhs_second_order(state, coeffs)
-    return CumulantDerivative(dcu, dcv, duu, duv, dvv)
+def rhs(state: CumulantState, coeffs: RHSCoefficients, out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None) -> CumulantDerivative:
+    """Full Gaussian-closure derivative of every cumulant block.
+
+    The blocks are written into ``out``, a contiguous flat vector in the
+    ``CumulantState.flatten`` layout, and returned as views of it; the m x m
+    temporaries live in ``scratch`` (``rhs_scratch(m)``).  Either is
+    allocated when not given, so repeated calls with both given allocate no
+    m x m array.
+    """
+    m = state.grid.m
+    if out is None:
+        out = np.empty(2 * m + 3 * m * m)
+    if scratch is None:
+        scratch = rhs_scratch(m)
+    deriv = CumulantDerivative(*split_flat(out, m))
+    deriv.cu[...], deriv.cv[...] = rhs_first_order(state, coeffs)
+    raw_uu, raw_vv, *work = scratch
+    _rhs_second_order_raw(state, coeffs, raw_uu, deriv.cuv, raw_vv, work)
+    for raw, sym in ((raw_uu, deriv.cuu), (raw_vv, deriv.cvv)):
+        np.add(raw, raw.T, out=sym)
+        sym *= 0.5
+    return deriv
 
 
 def photon_balance_residual(state: CumulantState, deriv: CumulantDerivative,
@@ -310,8 +362,10 @@ def propagate(state: CumulantState, coeffs: RHSCoefficients, t_end: float,
     if control is None:
         control = StepControl()
 
-    def fun(t, y):
-        return rhs(state.with_flat(y, t), coeffs).flatten()
+    scratch = rhs_scratch(state.grid.m)
+
+    def fun(t, y, out):
+        rhs(state.with_flat(y, t), coeffs, out=out, scratch=scratch)
 
     states: list[CumulantState] = []
 

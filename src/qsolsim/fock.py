@@ -264,20 +264,26 @@ def evolve_density(config: FockConfig, rho0: np.ndarray, t_grid,
         raise ValueError(f"initial state must have unit trace, got {tr}")
     rhs_rho = _liouvillian(config)
 
-    def fun(t, y):
-        return rhs_rho(y.reshape(dim, dim)).ravel()
+    def fun(t, y, out):
+        out[:] = rhs_rho(y.reshape(dim, dim)).ravel()
 
     t_grid = [float(t) for t in t_grid]
     control = control or StepControl(atol=1e-12, rtol=1e-10)
     outputs = []
     integrate(fun, rho0.astype(complex).ravel(), 0.0, max(t_grid), control=control,
               output_times=t_grid, observer=lambda t, y: outputs.append(y.copy()))
-    rhos = []
-    for t, flat in zip(t_grid, outputs):
-        rho = flat.reshape(dim, dim)
+    rhos = _in_caller_order(t_grid, [flat.reshape(dim, dim) for flat in outputs])
+    for t, rho in zip(t_grid, rhos):
         _check_density(config, rho, t, positivity=positivity_check)
-        rhos.append(rho)
     return rhos
+
+
+def _in_caller_order(t_grid: list[float], results: list) -> list:
+    """Rearrange per-time results, produced in ascending time, into t_grid's order."""
+    ordered = [None] * len(t_grid)
+    for i, item in zip(sorted(range(len(t_grid)), key=t_grid.__getitem__), results):
+        ordered[i] = item
+    return ordered
 
 
 # -- cumulant extraction -------------------------------------------------------
@@ -362,6 +368,7 @@ def closure_gap(config: FockConfig, kind: str, t_grid, alphas=None, n: float = 0
     states, _ = propagate(state0, config.coefficients(), max(t_grid),
                           output_times=t_grid,
                           control=control or StepControl(atol=1e-12, rtol=1e-10))
+    states = _in_caller_order(t_grid, states)
 
     gap1, gap2, scale1, scale2 = [], [], [], []
     for t, rho, approx in zip(t_grid, rhos, states):

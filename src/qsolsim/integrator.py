@@ -106,7 +106,6 @@ class StepStats:
 class StepResult:
     t_new: float
     y_new: np.ndarray
-    f_new: np.ndarray | None
     error_norm: float
     accepted: bool
     h_used: float
@@ -119,36 +118,74 @@ def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.real(np.vdot(x, x)) / x.size))
 
 
-def _stages(fun, t, y, f0, h, tab: Tableau):
-    """Evaluate all stage derivatives; returns (y_new, f_new, K)."""
+class _Buffers:
+    """Work arrays of one integration, allocated once and reused by every step.
+
+    ``k[0]`` holds the derivative at the current y: a rejected step rewrites
+    only rows 1..n_stages, and ``accept`` moves the last stage (the
+    derivative at the new y) into row 0.  ``vec`` holds each stage argument
+    and then the error vector; ``y_new`` and the caller's y swap roles on
+    acceptance.
+    """
+
+    def __init__(self, y: np.ndarray, tab: Tableau):
+        self.k = np.empty((tab.n_stages + 1, y.size), dtype=y.dtype)
+        self.vec = np.empty_like(y)
+        self.y_new = np.empty_like(y)
+        self.scale = np.empty(y.shape, dtype=y.real.dtype)
+
+    def accept(self, y: np.ndarray) -> np.ndarray:
+        """Make the step just taken the starting point; returns the new y."""
+        self.k[0] = self.k[-1]
+        y_new, self.y_new = self.y_new, y
+        return y_new
+
+
+def _stages(fun, t, y, h, tab: Tableau, buf: _Buffers) -> np.ndarray:
+    """Evaluate stages 1..n_stages into buf.k and y + h*sum(b k) into buf.y_new.
+
+    buf.k[0] must hold fun(t, y).  Every stage combination is one matrix-
+    vector product scaled by h and then added to y, in that order.
+    """
     ns = tab.n_stages
-    k = np.empty((ns + 1, y.size), dtype=y.dtype)
-    k[0] = f0
+    k, dy, y_new = buf.k, buf.vec, buf.y_new
     for i in range(1, ns):
-        dy = h * (k[:i].T @ tab.a[i, :i])
-        k[i] = fun(t + tab.c[i] * h, y + dy)
-    y_new = y + h * (k[:ns].T @ tab.b)
-    f_new = fun(t + h, y_new)
-    k[ns] = f_new
-    return y_new, f_new, k
+        np.matmul(k[:i].T, tab.a[i, :i], out=dy)
+        dy *= h
+        dy += y
+        fun(t + tab.c[i] * h, dy, k[i])
+    np.matmul(k[:ns].T, tab.b, out=y_new)
+    y_new *= h
+    y_new += y
+    fun(t + h, y_new, k[ns])
+    return y_new
 
 
-def _error_norm(k, h, scale, tab: Tableau) -> float:
-    err = (k.T @ tab.error_weights) / scale
+def _error_norm(h, tab: Tableau, buf: _Buffers) -> float:
+    err, k, scale = buf.vec, buf.k, buf.scale
+    np.matmul(k.T, tab.error_weights, out=err)
+    err /= scale
     if tab.error_weights_low is None:
         return abs(h) * _rms(err)
-    err_low = (k.T @ tab.error_weights_low) / scale
     e2 = float(np.real(np.vdot(err, err)))
-    e2_low = float(np.real(np.vdot(err_low, err_low)))
+    np.matmul(k.T, tab.error_weights_low, out=err)
+    err /= scale
+    e2_low = float(np.real(np.vdot(err, err)))
     if e2 == 0.0 and e2_low == 0.0:
         return 0.0
     return abs(h) * e2 / math.sqrt((e2 + 0.01 * e2_low) * err.size)
 
 
 def step(fun, t: float, y: np.ndarray, h: float, tableau: Tableau,
-         control: StepControl, f: np.ndarray | None = None,
+         control: StepControl, buffers: _Buffers | None = None,
          rejected_before: bool = False, stats: StepStats | None = None) -> StepResult:
     """Attempt a single step of size h; propose the next step size.
+
+    ``fun(t, y, out)`` writes the derivative at (t, y) into ``out``.
+    ``buffers`` are the work arrays of an ongoing ``integrate``, with the
+    derivative at (t, y) in stage row 0; without them they are allocated and
+    the derivative is evaluated.  An accepted ``y_new`` is a work array that
+    the next step of the same integration overwrites.
 
     Never returns an accepted state whose error estimate exceeds tolerance:
     a failed attempt comes back with ``accepted=False`` and a reduced
@@ -156,15 +193,19 @@ def step(fun, t: float, y: np.ndarray, h: float, tableau: Tableau,
     """
     if not h > 0:
         raise ValueError("step size must be positive")
-    if f is None:
-        f = fun(t, y)
+    if buffers is None:
+        buffers = _Buffers(y, tableau)
+        fun(t, y, buffers.k[0])
         if stats is not None:
             stats.n_rhs += 1
-    y_new, f_new, k = _stages(fun, t, y, f, h, tableau)
+    y_new = _stages(fun, t, y, h, tableau, buffers)
     if stats is not None:
         stats.n_rhs += tableau.n_stages
-    scale = control.atol + control.rtol * np.maximum(np.abs(y), np.abs(y_new))
-    err = _error_norm(k, h, scale, tableau)
+    scale = np.abs(y, out=buffers.scale)
+    np.maximum(scale, np.abs(y_new, out=buffers.vec.real), out=scale)
+    scale *= control.rtol
+    scale += control.atol
+    err = _error_norm(h, tableau, buffers)
     exponent = -1.0 / (tableau.error_order + 1)
 
     if math.isfinite(err) and err < 1.0:
@@ -174,13 +215,13 @@ def step(fun, t: float, y: np.ndarray, h: float, tableau: Tableau,
             factor = min(MAX_FACTOR, SAFETY * err ** exponent)
         if rejected_before:
             factor = min(1.0, factor)
-        result = StepResult(t + h, y_new, f_new, err, True, h, h * factor)
+        result = StepResult(t + h, y_new, err, True, h, h * factor)
     else:
         if math.isfinite(err):
             factor = max(MIN_FACTOR, SAFETY * err ** exponent)
         else:  # overflow in a trial stage: back off hard
             factor = MIN_FACTOR
-        result = StepResult(t, y, None, err, False, h, h * factor)
+        result = StepResult(t, y, err, False, h, h * factor)
     if stats is not None:
         stats.record(h, result.accepted)
     return result
@@ -195,7 +236,8 @@ def _initial_step(fun, t0, y0, f0, t_end, tab, control, stats) -> float:
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y0 + h0 * f0
-    f1 = fun(t0 + h0, y1)
+    f1 = np.empty_like(f0)
+    fun(t0 + h0, y1, f1)
     stats.n_rhs += 1
     d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
@@ -216,12 +258,14 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
               tableau: Tableau = DORMAND_PRINCE_853,
               control: StepControl = StepControl(),
               output_times=(), observer=None) -> IntegrationResult:
-    """Advance y' = fun(t, y) from t0 to exactly t_end.
+    """Advance y' = f(t, y) from t0 to exactly t_end.
 
-    ``output_times`` are hit exactly by clipping the step; at each one the
-    ``observer`` callback (if any) receives (t, y).  ``y`` is not copied, so
-    an observer that keeps it must copy it.  The step size resumes its
-    adaptive suggestion after a clipped step.
+    ``fun(t, y, out)`` writes f(t, y) into ``out``, one row of the stage
+    array that the integration allocates once; it must not keep ``y`` or
+    ``out``.  ``output_times`` are hit exactly by clipping the step; at each
+    one the ``observer`` callback (if any) receives (t, y).  ``y`` is a work
+    array that later steps overwrite, so an observer that keeps it must copy
+    it.  The step size resumes its adaptive suggestion after a clipped step.
     """
     if t_end < t0:
         raise ValueError("t_end must not precede t0")
@@ -242,10 +286,11 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
     if t_end == t0:
         return IntegrationResult(t, y, stats)
 
-    f = fun(t, y)
+    buffers = _Buffers(y, tableau)
+    fun(t, y, buffers.k[0])
     stats.n_rhs += 1
     with np.errstate(all="ignore"):
-        h = _initial_step(fun, t, y, f, t_end, tableau, control, stats)
+        h = _initial_step(fun, t, y, buffers.k[0], t_end, tableau, control, stats)
     if not math.isfinite(h) or h <= 0:  # pathological scales; let control sort it out
         h = min(t_end - t0, 1e-6)
 
@@ -259,12 +304,11 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
         stop = pending[0] if pending else t_end
         clipped = t + h >= stop
         h_try = stop - t if clipped else h
-        res = step(fun, t, y, h_try, tableau, control, f=f,
+        res = step(fun, t, y, h_try, tableau, control, buffers,
                    rejected_before=rejected, stats=stats)
         if res.accepted:
             t = stop if clipped else res.t_new
-            y = res.y_new
-            f = res.f_new
+            y = buffers.accept(y)
             if not np.all(np.isfinite(y)):
                 raise NonFiniteStateError("state became non-finite", t)
             # resume the adaptive suggestion rather than the clipped size
@@ -294,8 +338,10 @@ def integrate_fixed(fun, y0: np.ndarray, t0: float, t_end: float, n_steps: int,
     y = np.array(y0, copy=True)
     h = (t_end - t0) / n_steps
     t = t0
-    f = fun(t, y)
+    buffers = _Buffers(y, tableau)
+    fun(t, y, buffers.k[0])
     for _ in range(n_steps):
-        y, f, _ = _stages(fun, t, y, f, h, tableau)
+        _stages(fun, t, y, h, tableau, buffers)
+        y = buffers.accept(y)
         t += h
     return y

@@ -55,6 +55,20 @@ class GridSpec:
         return self.dx * (np.arange(self.m) - self.m // 2)
 
 
+def split_flat(vec: np.ndarray, m: int):
+    """Views (cu, cv, cuu, cuv, cvv) into a flat vector of the integrator layout.
+
+    The layout is the concatenation cu, cv, cuu.ravel(), cuv.ravel(),
+    cvv.ravel(): 2m + 3m^2 entries.  Writing to a view writes to ``vec``.
+    """
+    cu = vec[:m]
+    cv = vec[m:2 * m]
+    cuu = vec[2 * m:2 * m + m * m].reshape(m, m)
+    cuv = vec[2 * m + m * m:2 * m + 2 * m * m].reshape(m, m)
+    cvv = vec[2 * m + 2 * m * m:].reshape(m, m)
+    return cu, cv, cuu, cuv, cvv
+
+
 @dataclass(frozen=True)
 class CumulantState:
     """First- and second-order cumulants at ordering s and scaled time t."""
@@ -92,13 +106,7 @@ class CumulantState:
 
     def with_flat(self, vec: np.ndarray, t: float) -> "CumulantState":
         """Rebuild a state of this shape from the integrator's flat vector."""
-        m = self.grid.m
-        cu = vec[:m]
-        cv = vec[m:2 * m]
-        cuu = vec[2 * m:2 * m + m * m].reshape(m, m)
-        cuv = vec[2 * m + m * m:2 * m + 2 * m * m].reshape(m, m)
-        cvv = vec[2 * m + 2 * m * m:].reshape(m, m)
-        return CumulantState(self.grid, self.s, t, cu, cv, cuu, cuv, cvv)
+        return CumulantState(self.grid, self.s, t, *split_flat(vec, self.grid.m))
 
     def copy(self, t: float | None = None) -> "CumulantState":
         return CumulantState(

@@ -255,8 +255,8 @@ def test_criterion_11_integrator_order():
     state0 = CumulantState(grid, s, 0.0, np.array([1.3]), np.array([-0.4]),
                            np.array([[0.9]]), np.array([[0.2]]), np.array([[0.5]]))
 
-    def fun(t, y):
-        return rhs(state0.with_flat(y, t), coeffs).flatten()
+    def fun(t, y, out):
+        rhs(state0.with_flat(y, t), coeffs, out=out)
 
     def exact(t):
         mean = (1.3 - 0.4j) * np.exp(-(gamma + 1j * dw) * t)

@@ -108,6 +108,7 @@ class TestConfigValidation:
         dict(scaled={"gamma_t": 0.01, "nbar": 1e4, "sign_omega2": 0.5}),
         dict(output_times=[-0.5, 0.0]),
         dict(lo_real=["a"] * 12),
+        dict(observables=["intensity", "intensity"]),
     ])
     def test_rejects_before_propagation(self, mutation, tmp_path, capsys):
         cfg = tiny_config(**mutation)

@@ -3,11 +3,14 @@ import pytest
 
 from qsolsim.dynamics import (
     RHSCoefficients,
+    lap_cols,
+    lap_rows,
     lap_vec,
     photon_balance_residual,
     propagate,
     rhs,
     rhs_first_order,
+    rhs_scratch,
     rhs_second_order,
     second_order_asymmetry,
 )
@@ -117,6 +120,21 @@ class TestStructuralInvariants:
         scale = np.max(np.abs(d_ref))
         assert np.max(np.abs(d_ref - d_new)) / scale < 1e-12
 
+    @pytest.mark.parametrize("boundary", ["absorbing", "periodic"])
+    def test_rhs_into_buffers_matches_fresh_evaluation(self, boundary):
+        state = random_state(boundary=boundary)
+        other = random_state(boundary=boundary, s=-0.4, seed=11, scale=3.0)
+        coeffs = coeffs_for(state)
+        m = state.grid.m
+        buf = np.full(2 * m + 3 * m * m, np.nan)
+        scratch = rhs_scratch(m)
+        for st in (other, state):  # the second call reuses scratch left by the first
+            deriv = rhs(st, coeffs, out=buf, scratch=scratch)
+            for block in (deriv.cu, deriv.cv, deriv.cuu, deriv.cuv, deriv.cvv):
+                assert np.shares_memory(block, buf)
+            assert np.array_equal(deriv.flatten(), buf)
+            assert np.array_equal(buf, rhs(st, coeffs).flatten())
+
     def test_raw_asymmetry_is_roundoff(self):
         state = random_state(scale=3.0)
         assert second_order_asymmetry(state, coeffs_for(state)) < 1e-12
@@ -216,3 +234,24 @@ def test_lap_vec_boundaries():
     assert np.allclose(absorbing, [0.0, 1.0, -6.0])
     periodic = lap_vec(f, "periodic")
     assert np.allclose(periodic, [4.0, 1.0, -5.0])
+
+
+@pytest.mark.parametrize("boundary", ["absorbing", "periodic"])
+@pytest.mark.parametrize("m", [1, 2, 3, 9])
+def test_matrix_stencils_match_the_roll_formula(boundary, m):
+    # the reference evaluates -2 f + (f(j-1) + f(j+1)) with np.roll; the
+    # buffered stencils must give the same bits, written into ``out``
+    mat = np.random.default_rng(m).normal(size=(m, m))
+    for axis, lap in ((0, lap_rows), (1, lap_cols)):
+        ref = -2.0 * mat
+        if boundary == "periodic":
+            ref += np.roll(mat, 1, axis=axis) + np.roll(mat, -1, axis=axis)
+        else:
+            lo, hi = [slice(None)] * 2, [slice(None)] * 2
+            lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+            ref[tuple(lo)] += mat[tuple(hi)]
+            ref[tuple(hi)] += mat[tuple(lo)]
+        out = np.full((m, m), np.nan)
+        assert lap(mat, boundary, out=out) is out
+        assert np.array_equal(out, ref)
+        assert np.array_equal(lap(mat, boundary), ref)

@@ -103,6 +103,13 @@ class TestEvolution:
             expected = 0.4 + (n0 - 0.4) * math.exp(-2 * 0.3 * t)
             assert n_t == pytest.approx(expected, rel=1e-8)
 
+    def test_results_follow_the_callers_time_order(self):
+        config = FockConfig(modes=1, cutoff=20, gamma_t=0.5)
+        rho0 = initial_density(config, "coherent", alphas=[1.0])
+        rhos = evolve_density(config, rho0, [1.0, 0.5])
+        n_t = [intensity(cumulants_from_density(config, rho))[0] for rho in rhos]
+        assert n_t == pytest.approx([math.exp(-1.0), math.exp(-0.5)], rel=1e-8)
+
     def test_cutoff_overflow_detected(self):
         # heating toward a reservoir occupation the truncation cannot hold
         config = FockConfig(modes=1, cutoff=8, gamma_t=1.0, n_th=5.0)
@@ -184,6 +191,11 @@ class TestClosureGap:
                              control=StepControl(atol=1e-13, rtol=1e-11))
         assert report.second_order_gap[-1] > report.second_order_gap[0]
         assert np.all(np.isfinite(report.second_order_gap))
+        # the report follows the caller's order of the time grid
+        reverse = closure_gap(config, "coherent", [2.5, 1.5, 0.5], alphas=[1.5],
+                              control=StepControl(atol=1e-13, rtol=1e-11))
+        assert reverse.times.tolist() == [2.5, 1.5, 0.5]
+        assert np.array_equal(reverse.second_order_gap, report.second_order_gap[::-1])
 
     def test_two_mode_hopping_closure_exact(self):
         config = FockConfig(modes=2, cutoff=17, gamma_t=0.1, d2=-0.8, n_th=0.15,

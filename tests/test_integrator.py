@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qsolsim import dynamics
 from qsolsim.dynamics import RHSCoefficients, propagate
 from qsolsim.integrator import (
     IntegrationError,
@@ -12,7 +13,7 @@ from qsolsim.integrator import (
     integrate_fixed,
     step,
 )
-from qsolsim.state import GridSpec, thermal_state
+from qsolsim.state import GridSpec, fundamental_soliton, thermal_state
 from qsolsim.tableaus import DORMAND_PRINCE_54, DORMAND_PRINCE_853, Tableau
 
 
@@ -35,7 +36,7 @@ class TestTableaus:
 class TestStep:
     def test_constant_solution_zero_error(self):
         y0 = np.array([1.0, -2.0])
-        res = step(lambda t, y: np.zeros_like(y), 0.0, y0, 0.5,
+        res = step(lambda t, y, out: out.fill(0.0), 0.0, y0, 0.5,
                    DORMAND_PRINCE_853, StepControl())
         assert res.accepted
         assert res.error_norm == 0.0
@@ -43,7 +44,7 @@ class TestStep:
 
     def test_never_accepts_above_tolerance(self):
         # a deliberately huge step on a stiff-ish problem must be rejected
-        res = step(lambda t, y: -50.0 * y, 0.0, np.array([1.0]), 2.0,
+        res = step(lambda t, y, out: np.multiply(y, -50.0, out=out), 0.0, np.array([1.0]), 2.0,
                    DORMAND_PRINCE_54, StepControl(atol=1e-12, rtol=1e-12))
         assert not res.accepted
         assert res.h_next < 2.0
@@ -51,29 +52,31 @@ class TestStep:
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            step(lambda t, y: y, 0.0, np.array([1.0]), 0.0,
+            step(lambda t, y, out: np.copyto(out, y), 0.0, np.array([1.0]), 0.0,
                  DORMAND_PRINCE_853, StepControl())
 
 
 class TestIntegrate:
     def test_scalar_exponential(self):
-        res = integrate(lambda t, y: -y, np.array([1.0]), 0.0, 1.0)
+        res = integrate(lambda t, y, out: np.negative(y, out=out), np.array([1.0]), 0.0, 1.0)
         assert res.y[0] == pytest.approx(math.exp(-1.0), rel=1e-9)
 
     def test_reaches_end_exactly(self):
-        res = integrate(lambda t, y: np.cos(t) * y, np.array([1.0]), 0.0, 2.7182)
+        res = integrate(lambda t, y, out: np.multiply(y, np.cos(t), out=out), np.array([1.0]),
+                        0.0, 2.7182)
         assert res.t == 2.7182
 
     def test_zero_duration(self):
         seen = []
-        res = integrate(lambda t, y: -y, np.array([3.0]), 0.0, 0.0, output_times=[0.0],
+        res = integrate(lambda t, y, out: np.negative(y, out=out), np.array([3.0]), 0.0, 0.0,
+                        output_times=[0.0],
                         observer=lambda t, y: seen.append((t, y.copy())))
         assert res.t == 0.0 and res.y[0] == 3.0
         assert [(t, y.tolist()) for t, y in seen] == [(0.0, [3.0])]
 
     def test_output_times_hit_exactly(self):
         seen = []
-        integrate(lambda t, y: -y, np.array([1.0]), 0.0, 1.0,
+        integrate(lambda t, y, out: np.negative(y, out=out), np.array([1.0]), 0.0, 1.0,
                   output_times=[0.25, 0.5, 0.75, 1.0],
                   observer=lambda t, y: seen.append((t, y[0])))
         assert [t for t, _ in seen] == [0.25, 0.5, 0.75, 1.0]
@@ -81,8 +84,8 @@ class TestIntegrate:
             assert val == pytest.approx(math.exp(-t), rel=1e-9)
 
     def test_deterministic_trajectories(self):
-        def fun(t, y):
-            return np.array([y[1], -y[0] * (1 + 0.1 * np.sin(t))])
+        def fun(t, y, out):
+            out[:] = [y[1], -y[0] * (1 + 0.1 * np.sin(t))]
 
         seen_a, seen_b = [], []
         a = integrate(fun, np.array([1.0, 0.0]), 0.0, 10.0, output_times=[5.0, 10.0],
@@ -92,11 +95,35 @@ class TestIntegrate:
         assert a.y.tobytes() == b.y.tobytes()
         assert len(seen_a) == 2 and seen_a == seen_b
 
+    def test_rejected_steps_keep_the_derivative_at_y(self):
+        # decay at a rate that swings between -50 and +50, exact solution
+        # exp(-2.5 sin(20 t)): the controller keeps overshooting and rejects
+        # steps while the solution is O(1), so a retry that started from a
+        # rejected trial stage instead of f(t, y) would lose the tolerance.
+        # (A plain decay rejects only once y is below atol, where it cannot show.)
+        def fun(t, y, out):
+            np.multiply(y, -50.0 * math.cos(20.0 * t), out=out)
+
+        times = [0.1, 0.2, 0.3, 0.5, 1.0]
+        runs = []
+        for _ in range(2):
+            seen = []
+            res = integrate(fun, np.array([1.0]), 0.0, 1.0, output_times=times,
+                            control=StepControl(atol=1e-10, rtol=1e-10),
+                            observer=lambda t, y: seen.append(y[0]))
+            runs.append((res, seen))
+        (res, seen), (rerun, seen_again) = runs
+        assert res.stats.n_rejected > 0
+        for t, val in zip(times, seen):
+            assert val == pytest.approx(math.exp(-2.5 * math.sin(20.0 * t)), rel=3e-9)
+        assert res.y.tobytes() == rerun.y.tobytes()
+        assert np.array(seen).tobytes() == np.array(seen_again).tobytes()
+
     def test_tolerance_halving_never_hurts(self):
         # on a linear problem the final error must not grow when both
         # tolerances are halved repeatedly
-        def fun(t, y):
-            return np.array([-0.3 * y[0] + 2.0 * y[1], -2.0 * y[0] - 0.3 * y[1]])
+        def fun(t, y, out):
+            out[:] = [-0.3 * y[0] + 2.0 * y[1], -2.0 * y[0] - 0.3 * y[1]]
 
         y0 = np.array([1.0, 0.5])
         exact = np.exp(-0.3 * 3.0) * np.array([
@@ -112,8 +139,8 @@ class TestIntegrate:
 
     def test_underflow_aborts_with_time(self):
         # derivative explodes near t = 0.5; the controller must give up
-        def fun(t, y):
-            return y / (0.5 - t)
+        def fun(t, y, out):
+            np.divide(y, 0.5 - t, out=out)
 
         with pytest.raises((StepSizeUnderflow, IntegrationError)) as err:
             integrate(fun, np.array([1.0]), 0.0, 1.0,
@@ -121,7 +148,8 @@ class TestIntegrate:
         assert err.value.t <= 0.5 + 1e-6
 
     def test_complex_state_support(self):
-        res = integrate(lambda t, y: 1j * y, np.array([1.0 + 0.0j]), 0.0, math.pi)
+        res = integrate(lambda t, y, out: np.multiply(y, 1j, out=out), np.array([1.0 + 0.0j]),
+                        0.0, math.pi)
         assert res.y[0] == pytest.approx(-1.0 + 0.0j, abs=1e-9)
 
 
@@ -133,8 +161,8 @@ class TestConvergenceOrder:
     def test_step_halving_slope(self, tab, min_slope):
         # Richardson study on y' = cos(t) y, exact solution exp(sin(t));
         # step ranges keep the finest error above the round-off floor
-        def fun(t, y):
-            return np.cos(t) * y
+        def fun(t, y, out):
+            np.multiply(y, np.cos(t), out=out)
 
         t_end = 6.0
         exact = math.exp(math.sin(t_end))
@@ -163,6 +191,25 @@ class TestCumulantSystemIntegration:
             np.max(np.abs(states[0].cvv - state.cvv)),
         )
         assert drift < 1e-8
+
+    def test_propagate_calls_the_module_rhs_once_per_evaluation(self, monkeypatch):
+        # propagate looks rhs up on the module at call time, so a wrapper
+        # installed there (as the benchmark tracer does) sees every evaluation
+        calls = []
+        real_rhs = dynamics.rhs
+
+        def counting_rhs(*args, **kwargs):
+            calls.append(kwargs.get("out") is not None)
+            return real_rhs(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "rhs", counting_rhs)
+        state = fundamental_soliton(GridSpec(m=16, dx=0.3), 4.0, 1e-3, 0.0)
+        coeffs = RHSCoefficients(d2=-1.0 / 0.18, chi_t=0.25, gamma_t=0.05,
+                                 delta_omega_t=0.0, n_th=1e-3, s=0.0)
+        _, stats = propagate(state, coeffs, 0.2)
+        assert stats.n_rhs > 0
+        assert len(calls) == stats.n_rhs
+        assert all(calls)
 
     def test_linear_single_mode_matches_analytic(self):
         grid = GridSpec(m=1, dx=1.0)
@@ -203,7 +250,7 @@ class TestCumulantSystemIntegration:
 
 
 def test_step_statistics_recorded():
-    res = integrate(lambda t, y: -y, np.array([1.0]), 0.0, 5.0)
+    res = integrate(lambda t, y, out: np.negative(y, out=out), np.array([1.0]), 0.0, 5.0)
     stats = res.stats.as_dict()
     assert stats["accepted_steps"] > 0
     assert stats["rhs_evaluations"] > stats["accepted_steps"]
