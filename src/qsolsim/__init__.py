@@ -7,7 +7,19 @@ ellipses, squeezed-thermal parameters, balanced-homodyne squeezing spectra
 and spectral photon-number correlations.  A truncated-Fock-space master
 equation oracle certifies the closure and the observable formulas at small
 mode counts.
+
+Importing the package before numpy sets one BLAS thread as the default
+(``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS``, ``BLIS_NUM_THREADS``; a value
+already set wins).  The RK step already runs its vector work as two fixed
+halves on up to two CPUs, and a single-threaded BLAS keeps every result
+independent of the CPU count.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 __version__ = "0.1.0"
 

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pair import run_pair
 from .state import CumulantDerivative, CumulantState, split_flat
 
 __all__ = [
@@ -98,30 +99,43 @@ class RHSCoefficients:
 
 # -- boundary-aware stencils -------------------------------------------------
 
-def _lap(f: np.ndarray, axis: int, boundary: str, out=None, tmp=None) -> np.ndarray:
+def _lap(f: np.ndarray, axis: int, boundary: str, out=None, tmp=None,
+         lo: int = 0, hi: int | None = None) -> np.ndarray:
     """f(j+1) - 2 f(j) + f(j-1) along ``axis``, written into ``out``.
 
-    A periodic stencil needs ``tmp`` (same shape as f) for the neighbour sum;
-    both buffers are allocated when not given.
+    Only the indices [lo, hi) along ``axis`` of ``out`` are written (all of
+    them by default), each with the same operations whatever the range:
+    (-2 f + f(j+1)) + f(j-1) for absorbing walls, -2 f + (f(j-1) + f(j+1))
+    with wrapped neighbours for a periodic grid.  A periodic stencil needs
+    ``tmp`` (same shape as f) for the neighbour sum; both buffers are
+    allocated when not given.
     """
-    def along(sl):
-        return (slice(None),) * axis + (sl,)
-
     if out is None:
         out = np.empty_like(f)
-    np.multiply(f, -2.0, out=out)
+    if tmp is None and boundary == "periodic":
+        tmp = np.empty_like(f)
+    if axis == 1:  # the same stencil along the first axis of the transposes
+        _lap(f.T, 0, boundary, out.T, None if tmp is None else tmp.T, lo, hi)
+        return out
+    n = len(f)
+    hi = n if hi is None else hi
+    np.multiply(f[lo:hi], -2.0, out=out[lo:hi])
     if boundary == "periodic":
         # tmp = roll(f, 1) + roll(f, -1), built from slices instead of copies
-        if tmp is None:
-            tmp = np.empty_like(f)
-        n = f.shape[axis]
-        np.add(f[along(slice(None, -2))], f[along(slice(2, None))],
-               out=tmp[along(slice(1, -1))])
-        tmp[along([0, n - 1])] = f[along([n - 1, (n - 2) % n])] + f[along([1 % n, 0])]
-        out += tmp
+        a, b = max(lo, 1), min(hi, n - 1)
+        if a < b:
+            np.add(f[a - 1:b - 1], f[a + 1:b + 1], out=tmp[a:b])
+        if lo == 0 < hi:
+            np.add(f[n - 1:n], f[1 % n:1 % n + 1], out=tmp[:1])
+        if lo < hi == n:
+            np.add(f[(n - 2) % n:(n - 2) % n + 1], f[:1], out=tmp[n - 1:])
+        out[lo:hi] += tmp[lo:hi]
     else:  # absorbing: out-of-range cells read as zero
-        out[along(slice(None, -1))] += f[along(slice(1, None))]
-        out[along(slice(1, None))] += f[along(slice(None, -1))]
+        a, b = max(lo, 1), min(hi, n - 1)
+        if lo < b:
+            out[lo:b] += f[lo + 1:b + 1]
+        if a < hi:
+            out[a:hi] += f[a - 1:hi - 1]
     return out
 
 
@@ -145,10 +159,10 @@ def lap_cols(mat: np.ndarray, boundary: str, out=None) -> np.ndarray:
 def rhs_scratch(m: int) -> np.ndarray:
     """Work blocks for ``rhs(..., scratch=)``; reusable across states of size m.
 
-    Six m x m blocks: the raw uu and vv derivatives and four temporaries of
-    the second-order assembly, which is ordered so that no more are needed.
+    Eight m x m blocks: the raw uu and vv derivatives, two blocks shared by
+    both halves of the second-order assembly and two temporaries per half.
     """
-    return np.empty((6, m, m))
+    return np.empty((8, m, m))
 
 
 def _local_factors(state: CumulantState):
@@ -196,80 +210,90 @@ def _set_diag(mat: np.ndarray, diag: np.ndarray) -> None:
     np.fill_diagonal(mat, diag)
 
 
-def _rhs_second_order_raw(state: CumulantState, coeffs: RHSCoefficients,
-                          duu, duv, dvv, work) -> None:
-    # Hot path: assembled into the given blocks with in-place accumulation;
-    # ``work`` holds four m x m temporaries.  Every term is the same sequence
-    # of floating-point operations as a term-by-term evaluation, so results
-    # do not depend on which buffers are reused.  The v-u cross block is
-    # cuv.T, and the stencil in the first slot of a transposed block equals
-    # the transpose of the stencil in the second slot (lapL(M.T) = lapR(M).T),
-    # so each Laplacian is evaluated once and reused transposed.
-    bnd = state.grid.boundary
-    diag_uu, diag_vv, _, g1, g2, h = _local_factors(state)
-    cuu, cuv, cvv = state.cuu, state.cuv, state.cvv
-    two_gamma = 2.0 * coeffs.gamma_t
-    dw, d2, x = coeffs.delta_omega_t, coeffs.d2, coeffs.chi_t
-    src = coeffs.thermal_src(state.s)
-    sx = state.s * x
-    hsum, rot_uv, tmp, acc = work
+class _SecondOrder:
+    """The second-order assembly of one state, split into independent parts.
 
-    np.add(h[:, None], h[None, :], out=hsum)
-    np.add(cuv, cuv.T, out=rot_uv)
-    rot_uv *= dw     # dw * (cuv + cuv^T), shared by the uu and vv blocks
+    Construction evaluates what every part shares: the local Kerr factors,
+    hsum = h[j] + h[k] and rot_uv = dw * (cuv + cuv^T), written into the two
+    given blocks.  Then ``mirror_block`` writes the raw uu or vv block and
+    ``uv_rows`` a row range of the uv block; parts that are given their own
+    temporaries may run concurrently.  Every term is the same sequence of
+    floating-point operations as a term-by-term evaluation, so results do
+    not depend on buffers, row ranges or threads.  The v-u cross block is
+    cuv.T, and the stencil in the first slot of a transposed block equals
+    the transpose of the stencil in the second slot (lapL(M.T) = lapR(M).T),
+    so each Laplacian is evaluated once and reused transposed.
+    """
 
-    # uu block: damping source + decay, phase rotation, dispersion, Kerr
-    _set_diag(duu, src + sx * h)
-    duu += rot_uv
-    duu -= np.multiply(cuu, two_gamma, out=tmp)
-    _lap(cuv, 1, bnd, tmp, acc)     # stencil on the v slot of <<u v'>>
-    np.add(tmp, tmp.T, out=acc)
-    acc *= -d2
-    duu += acc
-    np.multiply(cuv, g1[None, :], out=tmp)
-    np.add(tmp, tmp.T, out=acc)
-    acc *= x
-    duu += acc
-    np.multiply(cuu, hsum, out=tmp)
-    tmp *= 2.0 * x
-    duu += tmp
+    def __init__(self, state: CumulantState, coeffs: RHSCoefficients, hsum, rot_uv):
+        self.state = state
+        self.bnd = state.grid.boundary
+        diag_uu, diag_vv, _, self.g1, self.g2, self.h = _local_factors(state)
+        self.two_gamma = 2.0 * coeffs.gamma_t
+        self.dw, self.d2, self.x = coeffs.delta_omega_t, coeffs.d2, coeffs.chi_t
+        self.src = coeffs.thermal_src(state.s)
+        self.sx = state.s * self.x
+        self.uv_diag = 0.5 * self.sx * (state.cv ** 2 + diag_vv - state.cu ** 2 - diag_uu)
+        np.add(self.h[:, None], self.h[None, :], out=hsum)
+        np.add(state.cuv, state.cuv.T, out=rot_uv)
+        rot_uv *= self.dw
+        self.hsum, self.rot_uv = hsum, rot_uv
 
-    # vv block: mirror of the uu block under u <-> v
-    _set_diag(dvv, src - sx * h)
-    dvv -= rot_uv
-    dvv -= np.multiply(cvv, two_gamma, out=tmp)
-    _lap(cuv, 0, bnd, tmp, acc)     # stencil on the u slot of <<u v'>>
-    np.add(tmp, tmp.T, out=acc)
-    acc *= d2
-    dvv += acc
-    np.multiply(cuv, g2[:, None], out=tmp)
-    np.add(tmp, tmp.T, out=acc)
-    acc *= -x
-    dvv += acc
-    np.multiply(cvv, hsum, out=tmp)
-    tmp *= -2.0 * x
-    dvv += tmp
+    def mirror_block(self, sign: int, out, tmp, acc) -> None:
+        """Raw uu (sign +1) or vv (sign -1) block: source + decay, phase
+        rotation, dispersion, Kerr.
 
-    # uv block
-    _set_diag(duv, 0.5 * sx * (state.cv ** 2 + diag_vv - state.cu ** 2 - diag_uu))
-    np.subtract(cvv, cuu, out=tmp)
-    tmp *= dw
-    duv += tmp
-    duv -= np.multiply(cuv, two_gamma, out=tmp)
-    _lap(cuu, 1, bnd, tmp, acc)
-    tmp -= _lap(cvv, 0, bnd, acc, hsum)
-    tmp *= d2
-    duv += tmp
-    np.multiply(cuu, g2[None, :], out=tmp)
-    tmp *= -x
-    duv += tmp
-    np.multiply(cvv, g1[:, None], out=tmp)
-    tmp *= x
-    duv += tmp
-    np.subtract(h[:, None], h[None, :], out=acc)
-    np.multiply(cuv, acc, out=tmp)
-    tmp *= 2.0 * x
-    duv += tmp
+        The vv block is the uu block under u <-> v: the thermal source and
+        the decay keep their sign and every other term flips, the stencil
+        moves from the v slot (axis 1) to the u slot (axis 0) of <<u v'>>
+        and the Kerr factor from g1[k] to g2[j].
+        """
+        st, x = self.state, self.x
+        if sign > 0:
+            axis, cxx, kerr = 1, st.cuu, self.g1[None, :]
+        else:
+            axis, cxx, kerr = 0, st.cvv, self.g2[:, None]
+        _set_diag(out, self.src + (sign * self.sx) * self.h)
+        (np.add if sign > 0 else np.subtract)(out, self.rot_uv, out=out)
+        out -= np.multiply(cxx, self.two_gamma, out=tmp)
+        _lap(st.cuv, axis, self.bnd, tmp, acc)
+        np.add(tmp, tmp.T, out=acc)
+        acc *= -sign * self.d2
+        out += acc
+        np.multiply(st.cuv, kerr, out=tmp)
+        np.add(tmp, tmp.T, out=acc)
+        acc *= sign * x
+        out += acc
+        np.multiply(cxx, self.hsum, out=tmp)
+        tmp *= sign * 2.0 * x
+        out += tmp
+
+    def uv_rows(self, lo: int, hi: int, duv, tmp, acc, spare) -> None:
+        """Rows [lo, hi) of the uv block; ``spare`` is a third temporary."""
+        st, x = self.state, self.x
+        rows = slice(lo, hi)
+        cuu, cuv, cvv = st.cuu[rows], st.cuv[rows], st.cvv[rows]
+        duv, t, a = duv[rows], tmp[rows], acc[rows]
+        duv.fill(0.0)
+        np.fill_diagonal(duv[:, rows], self.uv_diag[rows])
+        np.subtract(cvv, cuu, out=t)
+        t *= self.dw
+        duv += t
+        duv -= np.multiply(cuv, self.two_gamma, out=t)
+        _lap(cuu, 1, self.bnd, t, a)
+        t -= _lap(st.cvv, 0, self.bnd, acc, spare, lo, hi)[rows]
+        t *= self.d2
+        duv += t
+        np.multiply(cuu, self.g2[None, :], out=t)
+        t *= -x
+        duv += t
+        np.multiply(cvv, self.g1[rows, None], out=t)
+        t *= x
+        duv += t
+        np.subtract(self.h[rows, None], self.h[None, :], out=a)
+        np.multiply(cuv, a, out=t)
+        t *= 2.0 * x
+        duv += t
 
 
 def rhs_second_order(state: CumulantState, coeffs: RHSCoefficients):
@@ -285,11 +309,11 @@ def rhs_second_order(state: CumulantState, coeffs: RHSCoefficients):
 
 def second_order_asymmetry(state: CumulantState, coeffs: RHSCoefficients) -> float:
     """Max relative asymmetry of the raw (pre-symmetrization) uu/vv derivatives."""
-    m = state.grid.m
-    duu, dvv, *work = rhs_scratch(m)
-    _rhs_second_order_raw(state, coeffs, duu, np.empty((m, m)), dvv, work)
+    raw_uu, raw_vv, hsum, rot_uv, tmp, acc, _, _ = rhs_scratch(state.grid.m)
+    parts = _SecondOrder(state, coeffs, hsum, rot_uv)
     out = 0.0
-    for mat in (duu, dvv):
+    for sign, mat in ((1, raw_uu), (-1, raw_vv)):
+        parts.mirror_block(sign, mat, tmp, acc)
         scale = max(float(np.max(np.abs(mat))), 1.0)
         out = max(out, float(np.max(np.abs(mat - mat.T))) / scale)
     return out
@@ -303,7 +327,9 @@ def rhs(state: CumulantState, coeffs: RHSCoefficients, out: np.ndarray | None = 
     ``CumulantState.flatten`` layout, and returned as views of it; the m x m
     temporaries live in ``scratch`` (``rhs_scratch(m)``).  Either is
     allocated when not given, so repeated calls with both given allocate no
-    m x m array.
+    m x m array.  The second-order blocks are assembled as two fixed halves,
+    concurrently when the process may use two CPUs (``_pair.run_pair``); the
+    result is the same either way.
     """
     m = state.grid.m
     if out is None:
@@ -312,11 +338,18 @@ def rhs(state: CumulantState, coeffs: RHSCoefficients, out: np.ndarray | None = 
         scratch = rhs_scratch(m)
     deriv = CumulantDerivative(*split_flat(out, m))
     deriv.cu[...], deriv.cv[...] = rhs_first_order(state, coeffs)
-    raw_uu, raw_vv, *work = scratch
-    _rhs_second_order_raw(state, coeffs, raw_uu, deriv.cuv, raw_vv, work)
-    for raw, sym in ((raw_uu, deriv.cuu), (raw_vv, deriv.cvv)):
+    raw_uu, raw_vv, hsum, rot_uv, tmp_a, acc_a, tmp_b, acc_b = scratch
+    parts = _SecondOrder(state, coeffs, hsum, rot_uv)
+
+    def half(sign, raw, sym, lo, hi, tmp, acc):
+        parts.mirror_block(sign, raw, tmp, acc)
         np.add(raw, raw.T, out=sym)
         sym *= 0.5
+        parts.uv_rows(lo, hi, deriv.cuv, tmp, acc, raw)  # raw is free again
+
+    cut = m // 2
+    run_pair(lambda: half(1, raw_uu, deriv.cuu, 0, cut, tmp_a, acc_a),
+             lambda: half(-1, raw_vv, deriv.cvv, cut, m, tmp_b, acc_b))
     return deriv
 
 

@@ -10,7 +10,8 @@ with the damped two-estimate variant when the tableau carries a secondary
 low-order weight vector.  The step-size controller is the standard
 integral controller with safety factor and growth clamps; after a rejection
 the step is never allowed to grow.  Integration is deterministic: identical
-inputs produce bit-identical trajectories.
+inputs produce bit-identical trajectories, on one CPU or two, since the
+vector work of a step is cut into the same two ranges either way.
 
 The integrator is non-stiff by design; the simulator's operating envelope
 (damping below ~0.15 per unit time, stencil eigenvalues bounded by the cell
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._pair import run_pair
 from .tableaus import DORMAND_PRINCE_853, Tableau
 
 __all__ = [
@@ -141,39 +143,84 @@ class _Buffers:
         return y_new
 
 
+# Vector work of a step runs as two fixed ranges [0, cut) and [cut, N) on
+# the pair worker.  The cut is a multiple of 64 elements so that each gemv
+# range starts on a block boundary of the BLAS kernel and every element is
+# accumulated as by one call over the whole vector; an unaligned cut changes
+# a few elements, which test_combine_matches_one_gemv_bitwise detects.
+_ALIGN = 64
+
+
+def _split(n: int, part) -> None:
+    """Run ``part(lo, hi)`` over [0, cut) and [cut, n) as a pair, or once
+    over [0, n) when the aligned cut is 0."""
+    cut = (n // 2) // _ALIGN * _ALIGN
+    if cut == 0:
+        part(0, n)
+    else:
+        run_pair(lambda: part(0, cut), lambda: part(cut, n))
+
+
+def _combine(k: np.ndarray, w: np.ndarray, out: np.ndarray, then=None) -> np.ndarray:
+    """out = k.T @ w, one gemv per range of ``_split``; ``then(lo, hi)``
+    finishes each range on the same thread right after its gemv."""
+    def part(lo, hi):
+        np.matmul(k[:, lo:hi].T, w, out=out[lo:hi])
+        if then is not None:
+            then(lo, hi)
+
+    _split(out.size, part)
+    return out
+
+
 def _stages(fun, t, y, h, tab: Tableau, buf: _Buffers) -> np.ndarray:
     """Evaluate stages 1..n_stages into buf.k and y + h*sum(b k) into buf.y_new.
 
-    buf.k[0] must hold fun(t, y).  Every stage combination is one matrix-
-    vector product scaled by h and then added to y, in that order.
+    buf.k[0] must hold fun(t, y).  Every stage combination is a matrix-vector
+    product (``_combine``) scaled by h and then added to y, in that order.
     """
     ns = tab.n_stages
     k, dy, y_new = buf.k, buf.vec, buf.y_new
+
+    def advance(out):
+        def then(lo, hi):
+            out[lo:hi] *= h
+            out[lo:hi] += y[lo:hi]
+        return then
+
     for i in range(1, ns):
-        np.matmul(k[:i].T, tab.a[i, :i], out=dy)
-        dy *= h
-        dy += y
+        _combine(k[:i], tab.a[i, :i], dy, advance(dy))
         fun(t + tab.c[i] * h, dy, k[i])
-    np.matmul(k[:ns].T, tab.b, out=y_new)
-    y_new *= h
-    y_new += y
+    _combine(k[:ns], tab.b, y_new, advance(y_new))
     fun(t + h, y_new, k[ns])
     return y_new
 
 
 def _error_norm(h, tab: Tableau, buf: _Buffers) -> float:
     err, k, scale = buf.vec, buf.k, buf.scale
-    np.matmul(k.T, tab.error_weights, out=err)
-    err /= scale
+
+    def divide(lo, hi):
+        err[lo:hi] /= scale[lo:hi]
+
+    _combine(k, tab.error_weights, err, divide)
     if tab.error_weights_low is None:
         return abs(h) * _rms(err)
     e2 = float(np.real(np.vdot(err, err)))
-    np.matmul(k.T, tab.error_weights_low, out=err)
-    err /= scale
+    _combine(k, tab.error_weights_low, err, divide)
     e2_low = float(np.real(np.vdot(err, err)))
     if e2 == 0.0 and e2_low == 0.0:
         return 0.0
     return abs(h) * e2 / math.sqrt((e2 + 0.01 * e2_low) * err.size)
+
+
+def _all_finite(y: np.ndarray) -> bool:
+    finite = {}
+
+    def check(lo, hi):
+        finite[lo] = bool(np.isfinite(y[lo:hi]).all())
+
+    _split(y.size, check)
+    return all(finite.values())
 
 
 def step(fun, t: float, y: np.ndarray, h: float, tableau: Tableau,
@@ -201,10 +248,15 @@ def step(fun, t: float, y: np.ndarray, h: float, tableau: Tableau,
     y_new = _stages(fun, t, y, h, tableau, buffers)
     if stats is not None:
         stats.n_rhs += tableau.n_stages
-    scale = np.abs(y, out=buffers.scale)
-    np.maximum(scale, np.abs(y_new, out=buffers.vec.real), out=scale)
-    scale *= control.rtol
-    scale += control.atol
+    scale, vec = buffers.scale, buffers.vec
+
+    def error_scale(lo, hi):  # atol + rtol * max(|y|, |y_new|)
+        sc = np.abs(y[lo:hi], out=scale[lo:hi])
+        np.maximum(sc, np.abs(y_new[lo:hi], out=vec.real[lo:hi]), out=sc)
+        sc *= control.rtol
+        sc += control.atol
+
+    _split(y.size, error_scale)
     err = _error_norm(h, tableau, buffers)
     exponent = -1.0 / (tableau.error_order + 1)
 
@@ -309,7 +361,7 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
         if res.accepted:
             t = stop if clipped else res.t_new
             y = buffers.accept(y)
-            if not np.all(np.isfinite(y)):
+            if not _all_finite(y):
                 raise NonFiniteStateError("state became non-finite", t)
             # resume the adaptive suggestion rather than the clipped size
             h = res.h_next if not clipped else max(h, res.h_next)

@@ -1,6 +1,11 @@
 import filecmp
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,3 +366,34 @@ class TestCommandLine:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_config()))
         assert main(["run", str(path), "--scenario", "eta-lossless"]) == 2
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def test_outputs_do_not_depend_on_blas_threads_or_cpus(tmp_path):
+    # a small absorbing Kerr run in fresh interpreters: no BLAS thread
+    # variable set (the package's default applies), one BLAS thread set
+    # explicitly, and one CPU in the affinity mask (the halves run inline)
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    args = [sys.executable, "-m", "qsolsim.cli", "run", "--scenario", "intensity-weak-loss",
+            "--override", "m=60", "--override", "t_end=0.1",
+            "--override", "output_times=[0.05, 0.1]", "--out"]
+    runs = {"no-blas-env": ([], base),
+            "one-blas-thread": ([], dict(base, OPENBLAS_NUM_THREADS="1"))}
+    if shutil.which("taskset"):
+        runs["one-cpu"] = (["taskset", "-c", "0"], base)
+    for name, (prefix, env) in runs.items():
+        subprocess.run([*prefix, *args, str(tmp_path / name)], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+    reference = tmp_path / "no-blas-env"
+    names = sorted(p.name for p in reference.iterdir())
+    assert sum(n.startswith("state_t") for n in names) == 2
+    assert sum(n.endswith(".csv") for n in names) == 2
+    for name in runs:
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == names
+        for file in names:
+            assert filecmp.cmp(reference / file, tmp_path / name / file, shallow=False), \
+                (name, file)

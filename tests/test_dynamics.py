@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qsolsim import _pair
 from qsolsim.dynamics import (
     RHSCoefficients,
     lap_cols,
@@ -134,6 +135,20 @@ class TestStructuralInvariants:
                 assert np.shares_memory(block, buf)
             assert np.array_equal(deriv.flatten(), buf)
             assert np.array_equal(buf, rhs(st, coeffs).flatten())
+
+    @pytest.mark.parametrize("boundary", ["absorbing", "periodic"])
+    @pytest.mark.parametrize("s", [-0.7, 0.0, 0.85])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 40, 41])
+    def test_rhs_is_bit_identical_inline_and_threaded(self, monkeypatch, boundary, s, m):
+        # the second-order halves run one after the other (1 CPU) or on two
+        # threads; odd m and the periodic wrap rows land on the row cut m // 2
+        state = random_state(m=m, s=s, boundary=boundary, seed=m, scale=2.0)
+        coeffs = coeffs_for(state)
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(_pair, "_cpu_count", lambda c=cpus: c)
+            results.append(rhs(state, coeffs).flatten().tobytes())
+        assert results[0] == results[1]
 
     def test_raw_asymmetry_is_roundoff(self):
         state = random_state(scale=3.0)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qsolsim import dynamics
+from qsolsim import _pair, dynamics
 from qsolsim.dynamics import RHSCoefficients, propagate
 from qsolsim.integrator import (
     IntegrationError,
+    _combine,
     StepControl,
     StepSizeUnderflow,
     integrate,
@@ -255,3 +256,25 @@ def test_step_statistics_recorded():
     assert stats["accepted_steps"] > 0
     assert stats["rhs_evaluations"] > stats["accepted_steps"]
     assert stats["smallest_step"] > 0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [100, 127, 1001, 4097, 2 * 201 + 3 * 201 ** 2])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_combine_matches_one_gemv_bitwise(monkeypatch, dtype, n, cpus):
+    # the stage combinations are cut into two gemv calls at a 64-aligned
+    # index; every element must come out as from one call over the whole
+    # vector (n = 100 has cut 0: one call)
+    monkeypatch.setattr(_pair, "_cpu_count", lambda: cpus)
+    tab = DORMAND_PRINCE_853
+    ns = tab.n_stages
+    rng = np.random.default_rng(n)
+    k = rng.normal(size=(ns + 1, n))
+    if dtype is complex:
+        k = k + 1j * rng.normal(size=(ns + 1, n))
+    rows = [(k[:i], tab.a[i, :i]) for i in range(1, ns)]
+    rows += [(k[:ns], tab.b), (k, tab.error_weights), (k, tab.error_weights_low)]
+    out = np.empty(n, dtype=dtype)
+    for kk, w in rows:
+        assert _combine(kk, w, out) is out
+        assert out.tobytes() == np.matmul(kk.T, w).tobytes()
