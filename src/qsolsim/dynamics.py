@@ -49,7 +49,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pair import run_pair
+from .integrator import StepControl, integrate
+from .observables import intensity
 from .state import CumulantDerivative, CumulantState, split_flat
+from .tableaus import DORMAND_PRINCE_853
 
 __all__ = [
     "RHSCoefficients",
@@ -178,8 +181,12 @@ def _local_factors(state: CumulantState):
 
 def rhs_first_order(state: CumulantState, coeffs: RHSCoefficients):
     """Truncated mean-quadrature derivatives (dcu, dcv)."""
+    return _first_order(state, coeffs, _local_factors(state))
+
+
+def _first_order(state: CumulantState, coeffs: RHSCoefficients, factors):
     bnd = state.grid.boundary
-    duu, dvv, duv, _, _, _ = _local_factors(state)
+    duu, dvv, duv, _, _, _ = factors
     cu, cv = state.cu, state.cv
     x = coeffs.chi_t
     s1 = state.s - 1.0
@@ -213,22 +220,23 @@ def _set_diag(mat: np.ndarray, diag: np.ndarray) -> None:
 class _SecondOrder:
     """The second-order assembly of one state, split into independent parts.
 
-    Construction evaluates what every part shares: the local Kerr factors,
-    hsum = h[j] + h[k] and rot_uv = dw * (cuv + cuv^T), written into the two
-    given blocks.  Then ``mirror_block`` writes the raw uu or vv block and
-    ``uv_rows`` a row range of the uv block; parts that are given their own
-    temporaries may run concurrently.  Every term is the same sequence of
-    floating-point operations as a term-by-term evaluation, so results do
-    not depend on buffers, row ranges or threads.  The v-u cross block is
-    cuv.T, and the stencil in the first slot of a transposed block equals
-    the transpose of the stencil in the second slot (lapL(M.T) = lapR(M).T),
-    so each Laplacian is evaluated once and reused transposed.
+    Construction takes the local Kerr factors (``_local_factors``) and
+    evaluates what every part shares: hsum = h[j] + h[k] and
+    rot_uv = dw * (cuv + cuv^T), written into the two given blocks.  Then
+    ``mirror_block`` writes the raw uu or vv block and ``uv_rows`` a row
+    range of the uv block; parts that are given their own temporaries may
+    run concurrently.  Every term is the same sequence of floating-point
+    operations as a term-by-term evaluation, so results do not depend on
+    buffers, row ranges or threads.  The v-u cross block is cuv.T, and the
+    stencil in the first slot of a transposed block equals the transpose of
+    the stencil in the second slot (lapL(M.T) = lapR(M).T), so each
+    Laplacian is evaluated once and reused transposed.
     """
 
-    def __init__(self, state: CumulantState, coeffs: RHSCoefficients, hsum, rot_uv):
+    def __init__(self, state: CumulantState, coeffs: RHSCoefficients, factors, hsum, rot_uv):
         self.state = state
         self.bnd = state.grid.boundary
-        diag_uu, diag_vv, _, self.g1, self.g2, self.h = _local_factors(state)
+        diag_uu, diag_vv, _, self.g1, self.g2, self.h = factors
         self.two_gamma = 2.0 * coeffs.gamma_t
         self.dw, self.d2, self.x = coeffs.delta_omega_t, coeffs.d2, coeffs.chi_t
         self.src = coeffs.thermal_src(state.s)
@@ -310,7 +318,7 @@ def rhs_second_order(state: CumulantState, coeffs: RHSCoefficients):
 def second_order_asymmetry(state: CumulantState, coeffs: RHSCoefficients) -> float:
     """Max relative asymmetry of the raw (pre-symmetrization) uu/vv derivatives."""
     raw_uu, raw_vv, hsum, rot_uv, tmp, acc, _, _ = rhs_scratch(state.grid.m)
-    parts = _SecondOrder(state, coeffs, hsum, rot_uv)
+    parts = _SecondOrder(state, coeffs, _local_factors(state), hsum, rot_uv)
     out = 0.0
     for sign, mat in ((1, raw_uu), (-1, raw_vv)):
         parts.mirror_block(sign, mat, tmp, acc)
@@ -337,9 +345,10 @@ def rhs(state: CumulantState, coeffs: RHSCoefficients, out: np.ndarray | None = 
     if scratch is None:
         scratch = rhs_scratch(m)
     deriv = CumulantDerivative(*split_flat(out, m))
-    deriv.cu[...], deriv.cv[...] = rhs_first_order(state, coeffs)
+    factors = _local_factors(state)
+    deriv.cu[...], deriv.cv[...] = _first_order(state, coeffs, factors)
     raw_uu, raw_vv, hsum, rot_uv, tmp_a, acc_a, tmp_b, acc_b = scratch
-    parts = _SecondOrder(state, coeffs, hsum, rot_uv)
+    parts = _SecondOrder(state, coeffs, factors, hsum, rot_uv)
 
     def half(sign, raw, sym, lo, hi, tmp, acc):
         parts.mirror_block(sign, raw, tmp, acc)
@@ -362,17 +371,12 @@ def photon_balance_residual(state: CumulantState, deriv: CumulantDerivative,
     absorbing walls it measures closure back-action plus boundary flux and is
     reported, not asserted.
     """
-    intensity = (
-        state.cu ** 2 + state.cv ** 2
-        + np.diag(state.cuu) + np.diag(state.cvv)
-        + 0.5 * (state.s - 1.0)
-    )
     d_intensity = (
         2.0 * state.cu * deriv.cu + 2.0 * state.cv * deriv.cv
         + np.diag(deriv.cuu) + np.diag(deriv.cvv)
     )
     total = float(np.sum(d_intensity))
-    return total + 2.0 * coeffs.gamma_t * float(np.sum(intensity - coeffs.n_th))
+    return total + 2.0 * coeffs.gamma_t * float(np.sum(intensity(state) - coeffs.n_th))
 
 
 def propagate(state: CumulantState, coeffs: RHSCoefficients, t_end: float,
@@ -385,9 +389,6 @@ def propagate(state: CumulantState, coeffs: RHSCoefficients, t_end: float,
     if given, is called with each output state as it is reached; pass
     ``collect=False`` to rely on the observer alone and keep memory flat.
     """
-    from .integrator import StepControl, integrate
-    from .tableaus import DORMAND_PRINCE_853
-
     if output_times is None:
         output_times = (t_end,)
     if tableau is None:

@@ -13,6 +13,9 @@ the step is never allowed to grow.  Integration is deterministic: identical
 inputs produce bit-identical trajectories, on one CPU or two, since the
 vector work of a step is cut into the same two ranges either way.
 
+Every numerical failure of ``integrate`` is an ``IntegrationError`` carrying
+the last good time; overflowing error estimates only steer the step size.
+
 The integrator is non-stiff by design; the simulator's operating envelope
 (damping below ~0.15 per unit time, stencil eigenvalues bounded by the cell
 width) keeps the cumulant system well inside the stability region of the
@@ -206,10 +209,10 @@ def _error_norm(h, tab: Tableau, buf: _Buffers) -> float:
     if tab.error_weights_low is None:
         return abs(h) * _rms(err)
     e2 = float(np.real(np.vdot(err, err)))
+    if e2 == 0.0:  # whatever e2_low is; 0.01 * e2_low may underflow to 0
+        return 0.0
     _combine(k, tab.error_weights_low, err, divide)
     e2_low = float(np.real(np.vdot(err, err)))
-    if e2 == 0.0 and e2_low == 0.0:
-        return 0.0
     return abs(h) * e2 / math.sqrt((e2 + 0.01 * e2_low) * err.size)
 
 
@@ -287,6 +290,8 @@ def _initial_step(fun, t0, y0, f0, t_end, tab, control, stats) -> float:
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
+    if h0 == 0.0:  # d1 overflowed; integrate falls back to a tiny first step
+        return h0
     y1 = y0 + h0 * f0
     f1 = np.empty_like(f0)
     fun(t0 + h0, y1, f1)

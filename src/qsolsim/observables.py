@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import CumulantState, GridSpec
+from .state import CumulantState, GridSpec, _local_noise
 
 OMEGA_UNIT = 2.0  # one w0 in inverse pulse-width units
 
@@ -144,13 +144,8 @@ def intensity(state: CumulantState) -> np.ndarray:
 
 def ellipse_arrays(state: CumulantState):
     """(B, b, phi) for every cell at once."""
-    duu = np.diag(state.cuu)
-    dvv = np.diag(state.cvv)
-    duv = np.diag(state.cuv)
-    half = 0.5 * (duu + dvv)
-    radius = 0.5 * np.sqrt((duu - dvv) ** 2 + 4.0 * duv ** 2)
-    phi = 0.5 * np.arctan2(2.0 * duv, duu - dvv)
-    return half + radius, half - radius, phi
+    duu, dvv, duv, big, small, _, _ = _local_noise(state)
+    return big, small, 0.5 * np.arctan2(2.0 * duv, duu - dvv)
 
 
 def uncertainty_ellipse(state: CumulantState, j: int) -> EllipseParams:
@@ -159,14 +154,9 @@ def uncertainty_ellipse(state: CumulantState, j: int) -> EllipseParams:
     return EllipseParams(float(big[j]), float(small[j]), float(phi[j]))
 
 
-def nr_arrays(state: CumulantState):
-    """(n, r, theta, margin) of the squeezed-thermal decomposition, all cells."""
-    duu = np.diag(state.cuu)
-    dvv = np.diag(state.cvv)
-    duv = np.diag(state.cuv)
-    big, small, _ = ellipse_arrays(state)
-    bq = big + 0.25 * state.s
-    sq = small + 0.25 * state.s
+def _squeezed_thermal(state: CumulantState):
+    """(n, r, theta, margin, b) for every cell."""
+    duu, dvv, duv, _, small, bq, sq = _local_noise(state)
     if np.any(bq <= 0) or np.any(sq <= 0):
         raise UnphysicalStateError(
             "noise ellipse axis at or below zero; no squeezed-thermal decomposition")
@@ -174,12 +164,16 @@ def nr_arrays(state: CumulantState):
     r = 0.25 * np.log(bq / sq)
     theta = np.arctan2(-2.0 * duv, dvv - duu)
     margin = (2.0 * n + 1.0) * np.exp(-2.0 * r)
-    return n, r, theta, margin
+    return n, r, theta, margin, small
+
+
+def nr_arrays(state: CumulantState):
+    """(n, r, theta, margin) of the squeezed-thermal decomposition, all cells."""
+    return _squeezed_thermal(state)[:4]
 
 
 def squeezed_thermal_params(state: CumulantState, j: int) -> SqueezedThermalParams:
-    n, r, theta, margin = nr_arrays(state)
-    _, small, _ = ellipse_arrays(state)
+    n, r, theta, margin, small = _squeezed_thermal(state)
     return SqueezedThermalParams(
         n=float(n[j]), r=float(r[j]), theta=float(theta[j]),
         margin=float(margin[j]), b=float(small[j]),

@@ -108,13 +108,6 @@ class CumulantState:
         """Rebuild a state of this shape from the integrator's flat vector."""
         return CumulantState(self.grid, self.s, t, *split_flat(vec, self.grid.m))
 
-    def copy(self, t: float | None = None) -> "CumulantState":
-        return CumulantState(
-            self.grid, self.s, self.t if t is None else t,
-            self.cu.copy(), self.cv.copy(),
-            self.cuu.copy(), self.cuv.copy(), self.cvv.copy(),
-        )
-
 
 @dataclass(frozen=True)
 class CumulantDerivative:
@@ -126,10 +119,7 @@ class CumulantDerivative:
     cuv: np.ndarray
     cvv: np.ndarray
 
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([
-            self.cu, self.cv, self.cuu.ravel(), self.cuv.ravel(), self.cvv.ravel(),
-        ])
+    flatten = CumulantState.flatten  # the integrator layout of the state
 
     def max_abs(self) -> float:
         return max(
@@ -182,6 +172,19 @@ def reorder_s(state: CumulantState, s_new: float) -> CumulantState:
     )
 
 
+def _local_noise(state: CumulantState):
+    """(Duu, Dvv, Duv, B, b, B + s/4, b + s/4) per cell: the same-cell
+    cumulants, the major and minor variances of the noise ellipse they span,
+    and those variances in their ordering-independent combination."""
+    duu = np.diag(state.cuu)
+    dvv = np.diag(state.cvv)
+    duv = np.diag(state.cuv)
+    half = 0.5 * (duu + dvv)
+    radius = 0.5 * np.sqrt((duu - dvv) ** 2 + 4.0 * duv ** 2)
+    big, small = half + radius, half - radius
+    return duu, dvv, duv, big, small, big + 0.25 * state.s, small + 0.25 * state.s
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Report-only health check of a cumulant state."""
@@ -226,13 +229,7 @@ def validate(state: CumulantState, atol: float = 1e-12, heisenberg_tol: float = 
     if asym_vv > atol:
         issues.append(f"cvv asymmetry {asym_vv:.3e}")
 
-    duu = np.diag(state.cuu)
-    dvv = np.diag(state.cvv)
-    duv = np.diag(state.cuv)
-    half_tr = 0.5 * (duu + dvv)
-    radius = 0.5 * np.sqrt((duu - dvv) ** 2 + 4.0 * duv ** 2)
-    big = half_tr + radius + 0.25 * state.s
-    small = half_tr - radius + 0.25 * state.s
+    *_, big, small = _local_noise(state)  # B + s/4, b + s/4
     min_big = float(np.min(big)) if finite else math.nan
     min_small = float(np.min(small)) if finite else math.nan
     if finite and (min_big <= 0 or min_small <= 0):

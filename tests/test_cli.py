@@ -354,6 +354,14 @@ class TestCommandLine:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_tiny_atol_runs_to_completion(self, tmp_path):
+        # atol = 1e-200 overflows the integrator's first-step estimate; the
+        # run must still finish instead of raising ZeroDivisionError
+        cfg = tiny_config(m=4, t_end=1e-9, output_times=[1e-9], atol=1e-200)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
     def test_scenario_execution(self, tmp_path):
         code = main(["run", "--scenario", "intensity-lossless",
                      "--override", "m=8", "--override", "t_end=0.0",

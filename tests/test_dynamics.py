@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsolsim import _pair
+from qsolsim import _pair, dynamics
 from qsolsim.dynamics import (
     RHSCoefficients,
     lap_cols,
@@ -149,6 +149,20 @@ class TestStructuralInvariants:
             monkeypatch.setattr(_pair, "_cpu_count", lambda c=cpus: c)
             results.append(rhs(state, coeffs).flatten().tobytes())
         assert results[0] == results[1]
+
+    def test_rhs_evaluates_the_local_factors_once(self, monkeypatch):
+        # both orders read the same g1, g2, h and same-cell diagonals
+        calls = []
+        real = dynamics._local_factors
+
+        def counting(state):
+            calls.append(state)
+            return real(state)
+
+        monkeypatch.setattr(dynamics, "_local_factors", counting)
+        state = random_state()
+        rhs(state, coeffs_for(state))
+        assert len(calls) == 1
 
     def test_raw_asymmetry_is_roundoff(self):
         state = random_state(scale=3.0)

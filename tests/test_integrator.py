@@ -7,6 +7,7 @@ from qsolsim import _pair, dynamics
 from qsolsim.dynamics import RHSCoefficients, propagate
 from qsolsim.integrator import (
     IntegrationError,
+    NonFiniteStateError,
     _combine,
     StepControl,
     StepSizeUnderflow,
@@ -147,6 +148,23 @@ class TestIntegrate:
             integrate(fun, np.array([1.0]), 0.0, 1.0,
                       control=StepControl(atol=1e-10, rtol=1e-10, max_rejects=2000))
         assert err.value.t <= 0.5 + 1e-6
+
+    def test_overflowing_derivative_norm_falls_back_to_a_small_first_step(self):
+        # atol = 1e-200 makes the weighted derivative norm overflow, so the
+        # Hairer first guess h0 = 0.01 d0/d1 is exactly 0
+        res = integrate(lambda t, y, out: out.fill(1.0), np.array([1.0, 0.0]), 0.0, 1.0,
+                        control=StepControl(atol=1e-200, rtol=1e-9))
+        assert res.t == 1.0
+        assert res.y == pytest.approx([2.0, 1.0], rel=1e-12)
+        assert res.stats.n_accepted == 9
+
+    def test_zero_error_with_underflowing_low_order_estimate(self):
+        # the stage sums cancel exactly (e2 = 0) while 0.01 * e2_low underflows
+        # to 0; the run goes on until the state overflows
+        with pytest.raises(NonFiniteStateError) as err, np.errstate(over="ignore"):
+            integrate(lambda t, y, out: out.fill(1e150), np.array([1.0]), 0.0, 1e200,
+                      control=StepControl(atol=1.0, rtol=1.0))
+        assert err.value.t == pytest.approx(1.1e159, rel=0.05)
 
     def test_complex_state_support(self):
         res = integrate(lambda t, y, out: np.multiply(y, 1j, out=out), np.array([1.0 + 0.0j]),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsolsim.observables import ellipse_arrays
 from qsolsim.state import (
     CumulantState,
     GridSpec,
@@ -139,6 +140,21 @@ class TestValidate:
         report = validate(bad)
         assert not report.ok
         assert any("unphysical" in issue for issue in report.issues)
+
+    def test_axes_are_the_ellipse_arrays_axes(self):
+        # validate and the observables read B, b from one definition
+        rng = np.random.default_rng(3)
+        m = 9
+        a = rng.normal(scale=0.2, size=(2 * m, 2 * m))
+        cov = a @ a.T + 0.3 * np.eye(2 * m)
+        state = CumulantState(GridSpec(m=m, dx=0.2), -0.3, 0.0, rng.normal(size=m),
+                              rng.normal(size=m), cov[:m, :m], cov[:m, m:], cov[m:, m:])
+        report = validate(state)
+        big, small, _ = ellipse_arrays(state)
+        assert report.min_major_axis == float(np.min(big + 0.25 * state.s))
+        assert report.min_minor_axis == float(np.min(small + 0.25 * state.s))
+        assert report.min_uncertainty_product == float(np.min(np.sqrt(
+            (big + 0.25 * state.s) * (small + 0.25 * state.s))))
 
     def test_flags_nan(self):
         st_ = thermal_state(GridSpec(m=4, dx=0.1), 0.0, 0.0)
