@@ -1,21 +1,23 @@
 """Brute-force master-equation oracle in a truncated Fock space.
 
 For one or two cells the full density matrix is small enough to evolve
-exactly:
+exactly.  The Lindblad equation for absorption into a thermal reservoir is
+evaluated in its quantum-jump form
 
-    drho/dt = -i [H, rho]
-              + gamma * sum_j { (N_th + 1) (2 a_j rho a_j+ - a_j+ a_j rho - rho a_j+ a_j)
-                              +  N_th      (2 a_j+ rho a_j - a_j a_j+ rho - rho a_j a_j+) }
+    drho/dt = -i (H_eff rho - rho H_eff+) + sum_L 2 w_L L rho L+,
+    H_eff = H - i sum_L w_L L+ L,
 
-with the discrete Hamiltonian
+with jumps L = a_j of weight gamma (N_th + 1) and L = a_j+ of weight
+gamma N_th; channels of weight 0 are left out.  For L = a_j+, L+ L is the
+truncated a_j a_j+, not n_j + 1.  The discrete Hamiltonian is
 
     H = dw * sum_j a_j+ a_j  -  d2 * sum_jk L[j,k] a_j+ a_k
         + (chi/2) * sum_j a_j+ a_j+ a_j a_j,
 
-where L is the same three-point stencil matrix the cumulant dynamics uses
-(so the two descriptions share their discretization exactly).  Moments
-extracted from rho convert to s-ordered cumulants and certify the Gaussian
-closure and the spectral observable formulas at small scale.
+where L = ``dynamics.lap_rows`` of the identity is the stencil the cumulant
+dynamics uses, so the two descriptions share their discretization exactly.
+Moments extracted from rho convert to s-ordered cumulants and certify the
+Gaussian closure and the spectral observable formulas at small scale.
 
 Photon numbers here are O(1..100): far below production scale, but the
 closure equations are coefficient-form identical at any scale, so agreement
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RHSCoefficients, propagate
+from .dynamics import RHSCoefficients, lap_rows, propagate
 from .integrator import StepControl, integrate
 from .state import CumulantState, GridSpec, thermal_state
 
@@ -109,21 +111,10 @@ def mode_operators(config: FockConfig) -> list[np.ndarray]:
     return [np.kron(a, eye), np.kron(eye, a)]
 
 
-def _stencil_matrix(config: FockConfig) -> np.ndarray:
-    m = config.modes
-    lap = -2.0 * np.eye(m)
-    for j in range(m - 1):
-        lap[j, j + 1] = lap[j + 1, j] = 1.0
-    if config.boundary == "periodic" and m > 1:
-        lap[0, m - 1] += 1.0
-        lap[m - 1, 0] += 1.0
-    return lap
-
-
 def hamiltonian(config: FockConfig) -> np.ndarray:
     ops = mode_operators(config)
     h = np.zeros((config.dim, config.dim), dtype=complex)
-    lap = _stencil_matrix(config)
+    lap = lap_rows(np.eye(config.modes), config.boundary)
     for j, aj in enumerate(ops):
         nj = aj.conj().T @ aj
         h += config.delta_omega_t * nj
@@ -147,22 +138,22 @@ def coherent_vector(cutoff: int, alpha: complex) -> np.ndarray:
     return (amp / math.sqrt(float(np.real(np.vdot(amp, amp))))).astype(complex)
 
 
-def displacement_operator(cutoff: int, alpha: complex) -> np.ndarray:
-    """exp(alpha a+ - alpha* a) via eigendecomposition of the Hermitian generator."""
-    a = destroy(cutoff)
-    gen = alpha * a.conj().T - np.conj(alpha) * a     # anti-Hermitian
-    herm = -1j * gen
-    vals, vecs = np.linalg.eigh(herm)
+def _unitary(gen: np.ndarray) -> np.ndarray:
+    """exp(gen) of an anti-Hermitian generator, via eigh of the Hermitian -i gen."""
+    vals, vecs = np.linalg.eigh(-1j * gen)
     return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+
+
+def displacement_operator(cutoff: int, alpha: complex) -> np.ndarray:
+    """exp(alpha a+ - alpha* a)."""
+    a = destroy(cutoff)
+    return _unitary(alpha * a.conj().T - np.conj(alpha) * a)
 
 
 def squeeze_operator(cutoff: int, zeta: complex) -> np.ndarray:
-    """exp((zeta* a^2 - zeta a+^2)/2), same eigendecomposition route."""
+    """exp((zeta* a^2 - zeta a+^2)/2)."""
     a = destroy(cutoff)
-    gen = 0.5 * (np.conj(zeta) * (a @ a) - zeta * (a.conj().T @ a.conj().T))
-    herm = -1j * gen
-    vals, vecs = np.linalg.eigh(herm)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    return _unitary(0.5 * (np.conj(zeta) * (a @ a) - zeta * (a.conj().T @ a.conj().T)))
 
 
 def thermal_density(cutoff: int, n: float) -> np.ndarray:
@@ -204,27 +195,34 @@ def initial_density(config: FockConfig, kind: str, alphas=None, n: float = 0.0) 
 
 # -- evolution ----------------------------------------------------------------
 
+_CONTROL = StepControl(atol=1e-12, rtol=1e-10)  # default for both evolutions
+
+
 def _liouvillian(config: FockConfig):
-    h = hamiltonian(config)
-    ops = [(a, a.conj().T) for a in mode_operators(config)]
-    g = config.gamma_t
-    nth = config.n_th
+    """drho/dt in the module docstring's jump form: 2 + 2 * len(jumps) products."""
+    h_eff = hamiltonian(config)
+    jumps = []
+    for a in mode_operators(config):
+        ad = a.conj().T
+        for w, op, op_d in ((config.gamma_t * (config.n_th + 1.0), a, ad),
+                            (config.gamma_t * config.n_th, ad, a)):
+            if w > 0:
+                h_eff -= 1j * w * (op_d @ op)
+                jumps.append((2.0 * w * op, op_d))
+    gen = -1j * h_eff
+    gen_d = gen.conj().T
 
     def rhs_rho(rho: np.ndarray) -> np.ndarray:
-        drho = -1j * (h @ rho - rho @ h)
-        if g > 0:
-            for a, ad in ops:
-                ada = ad @ a
-                aad = a @ ad
-                drho += g * (nth + 1.0) * (2.0 * (a @ rho @ ad) - ada @ rho - rho @ ada)
-                drho += g * nth * (2.0 * (ad @ rho @ a) - aad @ rho - rho @ aad)
+        drho = gen @ rho
+        drho += rho @ gen_d
+        for op, op_d in jumps:
+            drho += (op @ rho) @ op_d
         return drho
 
     return rhs_rho
 
 
-def _check_density(config: FockConfig, rho: np.ndarray, t: float,
-                   positivity: bool = True):
+def _check_density(config: FockConfig, rho: np.ndarray, t: float):
     tr = complex(np.trace(rho)).real
     if abs(tr - 1.0) > 1e-10:
         raise RuntimeError(f"trace drifted to {tr!r} at t = {t}")
@@ -242,15 +240,13 @@ def _check_density(config: FockConfig, rho: np.ndarray, t: float,
         if top > 1e-8:
             raise CutoffOverflowError(
                 f"mode {j} top-level population {top:.2e} at t = {t}; raise the cutoff")
-    if positivity:
-        min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-        if min_eig < -1e-10:
-            raise RuntimeError(f"negative eigenvalue {min_eig:.2e} at t = {t}")
+    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
+    if min_eig < -1e-10:
+        raise RuntimeError(f"negative eigenvalue {min_eig:.2e} at t = {t}")
 
 
 def evolve_density(config: FockConfig, rho0: np.ndarray, t_grid,
-                   control: StepControl | None = None,
-                   positivity_check: bool = True) -> list[np.ndarray]:
+                   control: StepControl | None = None) -> list[np.ndarray]:
     """Exact-master-equation evolution; returns rho at each requested time.
 
     Trace, hermiticity, positivity and cutoff adequacy are asserted at every
@@ -268,13 +264,13 @@ def evolve_density(config: FockConfig, rho0: np.ndarray, t_grid,
         out[:] = rhs_rho(y.reshape(dim, dim)).ravel()
 
     t_grid = [float(t) for t in t_grid]
-    control = control or StepControl(atol=1e-12, rtol=1e-10)
     outputs = []
-    integrate(fun, rho0.astype(complex).ravel(), 0.0, max(t_grid), control=control,
-              output_times=t_grid, observer=lambda t, y: outputs.append(y.copy()))
+    integrate(fun, rho0.astype(complex).ravel(), 0.0, max(t_grid),
+              control=control or _CONTROL, output_times=t_grid,
+              observer=lambda t, y: outputs.append(y.copy()))
     rhos = _in_caller_order(t_grid, [flat.reshape(dim, dim) for flat in outputs])
     for t, rho in zip(t_grid, rhos):
-        _check_density(config, rho, t, positivity=positivity_check)
+        _check_density(config, rho, t)
     return rhos
 
 
@@ -366,8 +362,7 @@ def closure_gap(config: FockConfig, kind: str, t_grid, alphas=None, n: float = 0
     rhos = evolve_density(config, rho0, t_grid, control=control)
     state0 = matching_initial_state(config, kind, alphas=alphas, n=n)
     states, _ = propagate(state0, config.coefficients(), max(t_grid),
-                          output_times=t_grid,
-                          control=control or StepControl(atol=1e-12, rtol=1e-10))
+                          output_times=t_grid, control=control or _CONTROL)
     states = _in_caller_order(t_grid, states)
 
     gap1, gap2, scale1, scale2 = [], [], [], []

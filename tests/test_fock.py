@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qsolsim.dynamics import lap_rows
 from qsolsim.fock import (
     CutoffOverflowError,
     FockConfig,
@@ -20,6 +21,7 @@ from qsolsim.fock import (
     squeeze_operator,
     thermal_density,
 )
+from qsolsim.fock import _liouvillian
 from qsolsim.observables import (
     LOPulse,
     intensity,
@@ -59,6 +61,77 @@ class TestOperatorsAndStates:
         config = FockConfig(modes=2, cutoff=6, chi_t=0.3, d2=-1.2, delta_omega_t=0.4)
         h = hamiltonian(config)
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
+
+    @pytest.mark.parametrize("boundary", ["absorbing", "periodic"])
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_hamiltonian_uses_the_dynamics_stencil(self, modes, boundary):
+        # with d2 = 1 alone, <1_j| H |1_k> = -L[j, k] on one-photon states
+        config = FockConfig(modes=modes, cutoff=3, d2=1.0, boundary=boundary)
+        h = hamiltonian(config)
+        vac = np.zeros(config.dim, dtype=complex)
+        vac[0] = 1.0
+        one = [a.conj().T @ vac for a in mode_operators(config)]
+        stencil = -np.array([[np.vdot(bra, h @ ket) for ket in one] for bra in one])
+        assert np.array_equal(stencil, lap_rows(np.eye(modes), boundary))
+
+
+def _dense_master_equation(config, rho):
+    """The master equation written out term by term as dense products."""
+    h = hamiltonian(config)
+    g, nth = config.gamma_t, config.n_th
+    drho = -1j * (h @ rho - rho @ h)
+    if g > 0:
+        for a in mode_operators(config):
+            ad = a.conj().T
+            ada = ad @ a
+            aad = a @ ad
+            drho += g * (nth + 1.0) * (2.0 * (a @ rho @ ad) - ada @ rho - rho @ ada)
+            drho += g * nth * (2.0 * (ad @ rho @ a) - aad @ rho - rho @ aad)
+    return drho
+
+
+class _CountingMatmul(np.ndarray):
+    """An array that counts the matrix products it takes part in."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.matmul:
+            _CountingMatmul.calls += 1
+        inputs = tuple(np.asarray(x) for x in inputs)
+        if out is not None:
+            getattr(ufunc, method)(*inputs, out=tuple(np.asarray(o) for o in out), **kwargs)
+            return out[0]
+        return getattr(ufunc, method)(*inputs, **kwargs).view(_CountingMatmul)
+
+
+class TestLiouvillian:
+    @pytest.mark.parametrize("n_th", [0.0, 0.4])
+    @pytest.mark.parametrize("gamma_t", [0.0, 0.3])
+    @pytest.mark.parametrize("boundary", ["absorbing", "periodic"])
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_matches_the_dense_master_equation(self, modes, boundary, gamma_t, n_th):
+        config = FockConfig(modes=modes, cutoff=6, chi_t=0.3, gamma_t=gamma_t,
+                            delta_omega_t=0.4, d2=-0.8, n_th=n_th, boundary=boundary)
+        rng = np.random.default_rng(11)
+        shape = (config.dim, config.dim)
+        rho = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = _dense_master_equation(config, rho)
+        got = _liouvillian(config)(rho)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("gamma_t, n_th, products", [
+        (0.3, 0.4, 10), (0.3, 0.0, 6), (0.0, 0.4, 2),
+    ])
+    def test_products_per_evaluation(self, gamma_t, n_th, products):
+        config = FockConfig(modes=2, cutoff=4, chi_t=0.3, gamma_t=gamma_t, d2=-0.8,
+                            n_th=n_th)
+        rhs_rho = _liouvillian(config)
+        rho = initial_density(config, "coherent", alphas=[0.3, 0.2j])
+        _CountingMatmul.calls = 0
+        drho = rhs_rho(rho.view(_CountingMatmul))
+        assert _CountingMatmul.calls == products
+        assert np.array_equal(np.asarray(drho), rhs_rho(rho))
 
 
 class TestEvolution:
@@ -203,6 +276,14 @@ class TestClosureGap:
         report = closure_gap(config, "displaced-thermal", [0.8], alphas=[0.9, 0.4j], n=0.1)
         assert report.first_order_gap[0] < 1e-8
         assert report.second_order_gap[0] < 1e-8
+
+    def test_single_periodic_cell_closure_exact(self):
+        # one periodic cell is its own neighbour on both sides: the stencil
+        # is 0, so hopping must add no detuning
+        config = FockConfig(modes=1, cutoff=14, d2=1.0, boundary="periodic")
+        report = closure_gap(config, "coherent", [0.5, 1.0], alphas=[1.0])
+        assert np.all(report.first_order_rel < 1e-8)
+        assert np.all(report.second_order_rel < 1e-8)
 
 
 def _gaussian_two_mode_density(config, alphas, squeezes, n_thermal):
