@@ -28,22 +28,16 @@ from .dynamics import (
     photon_balance_residual,
     propagate,
     rhs,
-    rhs_first_order,
-    rhs_second_order,
 )
 from .integrator import IntegrationResult, StepControl, integrate, integrate_fixed, step
 from .observables import (
     CorrelationResult,
-    EllipseParams,
     LOPulse,
     SpectrumResult,
-    SqueezedThermalParams,
     frequency_grid,
     intensity,
     photon_correlation,
-    squeezed_thermal_params,
     squeezing_spectrum,
-    uncertainty_ellipse,
 )
 from .params import (
     PhysicalInputs,
@@ -71,7 +65,6 @@ __all__ = [
     "CumulantState",
     "DORMAND_PRINCE_54",
     "DORMAND_PRINCE_853",
-    "EllipseParams",
     "GridSpec",
     "IntegrationResult",
     "LOPulse",
@@ -79,7 +72,6 @@ __all__ = [
     "RHSCoefficients",
     "ScaledParams",
     "SpectrumResult",
-    "SqueezedThermalParams",
     "StepControl",
     "Tableau",
     "derive_scales",
@@ -95,13 +87,9 @@ __all__ = [
     "reorder_s",
     "rhs",
     "rhs_coefficients",
-    "rhs_first_order",
-    "rhs_second_order",
-    "squeezed_thermal_params",
     "squeezing_spectrum",
     "step",
     "thermal_occupation",
     "thermal_state",
-    "uncertainty_ellipse",
     "validate",
 ]

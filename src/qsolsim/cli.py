@@ -429,7 +429,10 @@ def run(cfg: dict, out_dir) -> dict:
     """Execute a validated config; write artifacts; return the manifest."""
     rc = resolve_config(cfg)
     out = Path(out_dir if out_dir is not None else (rc.out_dir or "."))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {str(out)!r}: {exc}") from exc
 
     states, stats = _run_trajectory(rc, rc.s)
 

@@ -58,14 +58,10 @@ __all__ = [
     "RHSCoefficients",
     "rhs",
     "rhs_scratch",
-    "rhs_first_order",
-    "rhs_second_order",
     "second_order_asymmetry",
     "photon_balance_residual",
     "propagate",
-    "lap_vec",
     "lap_rows",
-    "lap_cols",
 ]
 
 
@@ -142,19 +138,9 @@ def _lap(f: np.ndarray, axis: int, boundary: str, out=None, tmp=None,
     return out
 
 
-def lap_vec(f: np.ndarray, boundary: str) -> np.ndarray:
-    """Three-point Laplacian stencil on a vector."""
-    return _lap(f, 0, boundary)
-
-
 def lap_rows(mat: np.ndarray, boundary: str, out=None) -> np.ndarray:
-    """Laplacian stencil applied to the first (row) index."""
+    """Laplacian stencil applied to the first (row) index of a vector or matrix."""
     return _lap(mat, 0, boundary, out)
-
-
-def lap_cols(mat: np.ndarray, boundary: str, out=None) -> np.ndarray:
-    """Laplacian stencil applied to the second (column) index."""
-    return _lap(mat, 1, boundary, out)
 
 
 # -- right-hand sides --------------------------------------------------------
@@ -179,11 +165,6 @@ def _local_factors(state: CumulantState):
     return duu, dvv, duv, g1, g2, h
 
 
-def rhs_first_order(state: CumulantState, coeffs: RHSCoefficients):
-    """Truncated mean-quadrature derivatives (dcu, dcv)."""
-    return _first_order(state, coeffs, _local_factors(state))
-
-
 def _first_order(state: CumulantState, coeffs: RHSCoefficients, factors):
     bnd = state.grid.boundary
     duu, dvv, duv, _, _, _ = factors
@@ -195,7 +176,7 @@ def _first_order(state: CumulantState, coeffs: RHSCoefficients, factors):
     dcu = (
         -coeffs.gamma_t * cu
         + coeffs.delta_omega_t * cv
-        - coeffs.d2 * lap_vec(cv, bnd)
+        - coeffs.d2 * _lap(cv, 0, bnd)
         + x * cv * amp2
         + x * cv * (s1 + duu + 3.0 * dvv)
         + 2.0 * x * cu * duv
@@ -203,7 +184,7 @@ def _first_order(state: CumulantState, coeffs: RHSCoefficients, factors):
     dcv = (
         -coeffs.gamma_t * cv
         - coeffs.delta_omega_t * cu
-        + coeffs.d2 * lap_vec(cu, bnd)
+        + coeffs.d2 * _lap(cu, 0, bnd)
         - x * cu * amp2
         - x * cu * (s1 + 3.0 * duu + dvv)
         - 2.0 * x * cv * duv
@@ -304,17 +285,6 @@ class _SecondOrder:
         duv += t
 
 
-def rhs_second_order(state: CumulantState, coeffs: RHSCoefficients):
-    """Truncated covariance-block derivatives (dcuu, dcuv, dcvv).
-
-    The uu/vv outputs are symmetrized after assembly; the raw asymmetry is
-    floating-point noise only and can be inspected with
-    ``second_order_asymmetry``.
-    """
-    deriv = rhs(state, coeffs)
-    return deriv.cuu, deriv.cuv, deriv.cvv
-
-
 def second_order_asymmetry(state: CumulantState, coeffs: RHSCoefficients) -> float:
     """Max relative asymmetry of the raw (pre-symmetrization) uu/vv derivatives."""
     raw_uu, raw_vv, hsum, rot_uv, tmp, acc, _, _ = rhs_scratch(state.grid.m)
@@ -337,7 +307,8 @@ def rhs(state: CumulantState, coeffs: RHSCoefficients, out: np.ndarray | None = 
     allocated when not given, so repeated calls with both given allocate no
     m x m array.  The second-order blocks are assembled as two fixed halves,
     concurrently when the process may use two CPUs (``_pair.run_pair``); the
-    result is the same either way.
+    result is the same either way.  The uu/vv blocks are symmetrized after
+    assembly; ``second_order_asymmetry`` reports the raw asymmetry.
     """
     m = state.grid.m
     if out is None:

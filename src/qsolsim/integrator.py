@@ -77,8 +77,8 @@ class StepControl:
     max_rejects: int = 50
 
     def __post_init__(self):
-        if not (self.atol > 0 and self.rtol > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.atol < math.inf and 0 < self.rtol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass
@@ -113,7 +113,6 @@ class StepResult:
     y_new: np.ndarray
     error_norm: float
     accepted: bool
-    h_used: float
     h_next: float
 
 
@@ -270,13 +269,13 @@ def step(fun, t: float, y: np.ndarray, h: float, tableau: Tableau,
             factor = min(MAX_FACTOR, SAFETY * err ** exponent)
         if rejected_before:
             factor = min(1.0, factor)
-        result = StepResult(t + h, y_new, err, True, h, h * factor)
+        result = StepResult(t + h, y_new, err, True, h * factor)
     else:
         if math.isfinite(err):
             factor = max(MIN_FACTOR, SAFETY * err ** exponent)
         else:  # overflow in a trial stage: back off hard
             factor = MIN_FACTOR
-        result = StepResult(t, y, err, False, h, h * factor)
+        result = StepResult(t, y, err, False, h * factor)
     if stats is not None:
         stats.record(h, result.accepted)
     return result
@@ -324,6 +323,8 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
     array that later steps overwrite, so an observer that keeps it must copy
     it.  The step size resumes its adaptive suggestion after a clipped step.
     """
+    if not (math.isfinite(t0) and math.isfinite(t_end)):
+        raise ValueError("t0 and t_end must be finite")
     if t_end < t0:
         raise ValueError("t_end must not precede t0")
     y = np.array(y0, dtype=None, copy=True)
@@ -332,7 +333,7 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
     stats = StepStats()
     pending = sorted(float(t) for t in output_times)
     for t in pending:
-        if t < t0 - 1e-15 or t > t_end + 1e-15:
+        if not t0 - 1e-15 <= t <= t_end + 1e-15:
             raise ValueError(f"output time {t} outside [{t0}, {t_end}]")
 
     t = t0

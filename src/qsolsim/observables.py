@@ -30,16 +30,12 @@ from .state import CumulantState, GridSpec, _local_noise
 OMEGA_UNIT = 2.0  # one w0 in inverse pulse-width units
 
 __all__ = [
-    "EllipseParams",
-    "SqueezedThermalParams",
     "LOPulse",
     "SpectrumResult",
     "CorrelationResult",
     "UnphysicalStateError",
     "intensity",
-    "uncertainty_ellipse",
     "ellipse_arrays",
-    "squeezed_thermal_params",
     "nr_arrays",
     "squeezing_spectrum",
     "photon_correlation",
@@ -50,35 +46,6 @@ __all__ = [
 
 class UnphysicalStateError(ValueError):
     """Raised when local noise violates the uncertainty floor."""
-
-
-@dataclass(frozen=True)
-class EllipseParams:
-    """Principal variances and orientation of the local noise ellipse."""
-
-    B: float
-    b: float
-    phi: float
-
-
-@dataclass(frozen=True)
-class SqueezedThermalParams:
-    """Squeezed-thermal decomposition of the local noise.
-
-    n, r, theta parametrize the state; ``margin`` is (2n+1) e^{-2r}, below 1
-    exactly when the minor variance b drops under the vacuum level b_vac.
-    """
-
-    n: float
-    r: float
-    theta: float
-    margin: float
-    b: float
-    b_vac: float
-
-    @property
-    def squeezed(self) -> bool:
-        return self.margin < 1.0
 
 
 @dataclass(frozen=True)
@@ -143,20 +110,21 @@ def intensity(state: CumulantState) -> np.ndarray:
 
 
 def ellipse_arrays(state: CumulantState):
-    """(B, b, phi) for every cell at once."""
+    """Local noise ellipse (B, b, phi) of every cell: the principal variances
+    B >= b of the same-cell covariance and the major-axis angle phi, with
+    tan 2 phi = 2 Duv / (Duu - Dvv)."""
     duu, dvv, duv, big, small, _, _ = _local_noise(state)
     return big, small, 0.5 * np.arctan2(2.0 * duv, duu - dvv)
 
 
-def uncertainty_ellipse(state: CumulantState, j: int) -> EllipseParams:
-    """Local noise ellipse at cell j: B,b = (tr +- split)/2, 2 phi = arg(...)."""
-    big, small, phi = ellipse_arrays(state)
-    return EllipseParams(float(big[j]), float(small[j]), float(phi[j]))
+def nr_arrays(state: CumulantState):
+    """(n, r, theta, margin) of the squeezed-thermal decomposition, all cells.
 
-
-def _squeezed_thermal(state: CumulantState):
-    """(n, r, theta, margin, b) for every cell."""
-    duu, dvv, duv, _, small, bq, sq = _local_noise(state)
+    n, r, theta parametrize the local state; ``margin`` is (2n+1) e^{-2r},
+    below 1 exactly when the minor variance b drops under the vacuum level
+    (1-s)/4.
+    """
+    duu, dvv, duv, _, _, bq, sq = _local_noise(state)
     if np.any(bq <= 0) or np.any(sq <= 0):
         raise UnphysicalStateError(
             "noise ellipse axis at or below zero; no squeezed-thermal decomposition")
@@ -164,21 +132,7 @@ def _squeezed_thermal(state: CumulantState):
     r = 0.25 * np.log(bq / sq)
     theta = np.arctan2(-2.0 * duv, dvv - duu)
     margin = (2.0 * n + 1.0) * np.exp(-2.0 * r)
-    return n, r, theta, margin, small
-
-
-def nr_arrays(state: CumulantState):
-    """(n, r, theta, margin) of the squeezed-thermal decomposition, all cells."""
-    return _squeezed_thermal(state)[:4]
-
-
-def squeezed_thermal_params(state: CumulantState, j: int) -> SqueezedThermalParams:
-    n, r, theta, margin, small = _squeezed_thermal(state)
-    return SqueezedThermalParams(
-        n=float(n[j]), r=float(r[j]), theta=float(theta[j]),
-        margin=float(margin[j]), b=float(small[j]),
-        b_vac=0.25 * (1.0 - state.s),
-    )
+    return n, r, theta, margin
 
 
 # -- spectral observables -----------------------------------------------------

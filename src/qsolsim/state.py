@@ -27,6 +27,10 @@ import numpy as np
 
 _BOUNDARIES = ("absorbing", "periodic")
 
+# ``validate`` flags a relative uu/vv asymmetry above the first and an
+# uncertainty product more than the second below 1/4
+_ASYM_TOL, _HEISENBERG_TOL = 1e-12, 1e-10
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -45,8 +49,8 @@ class GridSpec:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"grid needs at least one cell, got m={self.m}")
-        if not self.dx > 0:
-            raise ValueError(f"cell width must be positive, got dx={self.dx}")
+        if not (self.dx > 0 and math.isfinite(self.dx)):
+            raise ValueError(f"cell width must be positive and finite, got dx={self.dx}")
         if self.boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}, got {self.boundary!r}")
 
@@ -120,12 +124,6 @@ class CumulantDerivative:
     cvv: np.ndarray
 
     flatten = CumulantState.flatten  # the integrator layout of the state
-
-    def max_abs(self) -> float:
-        return max(
-            np.max(np.abs(self.cu)), np.max(np.abs(self.cv)),
-            np.max(np.abs(self.cuu)), np.max(np.abs(self.cuv)), np.max(np.abs(self.cvv)),
-        )
 
 
 def thermal_state(grid: GridSpec, n_th: float, s: float) -> CumulantState:
@@ -203,7 +201,7 @@ class ValidationReport:
         return not self.issues
 
 
-def validate(state: CumulantState, atol: float = 1e-12, heisenberg_tol: float = 1e-10) -> ValidationReport:
+def validate(state: CumulantState) -> ValidationReport:
     """Check symmetry, finiteness and the per-cell uncertainty bound.
 
     The bound sqrt((B + s/4)(b + s/4)) >= 1/4 holds for every physical state,
@@ -224,9 +222,9 @@ def validate(state: CumulantState, atol: float = 1e-12, heisenberg_tol: float = 
 
     asym_uu = rel_asym(state.cuu)
     asym_vv = rel_asym(state.cvv)
-    if asym_uu > atol:
+    if asym_uu > _ASYM_TOL:
         issues.append(f"cuu asymmetry {asym_uu:.3e}")
-    if asym_vv > atol:
+    if asym_vv > _ASYM_TOL:
         issues.append(f"cvv asymmetry {asym_vv:.3e}")
 
     *_, big, small = _local_noise(state)  # B + s/4, b + s/4
@@ -237,7 +235,7 @@ def validate(state: CumulantState, atol: float = 1e-12, heisenberg_tol: float = 
         product = -math.inf
     elif finite:
         product = float(np.min(np.sqrt(big * small)))
-        if product < 0.25 - heisenberg_tol:
+        if product < 0.25 - _HEISENBERG_TOL:
             issues.append(f"uncertainty product {product:.6f} below 1/4")
     else:
         product = math.nan

@@ -222,13 +222,19 @@ class TestArtifacts:
         pickled = tmp_path / "pickled.npy"
         np.save(pickled, np.array([{"format": "qsolsim-state-v2"}], dtype=object),
                 allow_pickle=True)
+        data = good.read_bytes()
+        truncated = []
+        for size in (0, 10, 100, len(data) - 8):
+            path = tmp_path / f"cut{size}.npy"
+            path.write_bytes(data[:size])
+            truncated.append(path)
 
         def no_unpickling(*args, **kwargs):
             raise AssertionError("load_state must never unpickle")
 
         monkeypatch.setattr("pickle.load", no_unpickling)
         monkeypatch.setattr("pickle.loads", no_unpickling)
-        for path in (plain, wrong_tag, old_json, pickled):
+        for path in (plain, wrong_tag, old_json, pickled, *truncated):
             with pytest.raises(ValueError, match="not a state snapshot"):
                 load_state(path)
         assert np.array_equal(load_state(good).cuu, state.cuu)
@@ -343,6 +349,23 @@ class TestCommandLine:
     def test_missing_file_exit_code(self, capsys):
         assert main(["run", "/nonexistent/cfg.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_unusable_out_dir_exit_code(self, tmp_path, capsys, monkeypatch, out):
+        # an existing file, or a path under one, cannot be the output directory
+        (tmp_path / "taken").write_text("")
+
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("propagated before the output directory was checked")
+
+        monkeypatch.setattr(cli, "propagate", no_propagation)
+        code = main(["run", "--scenario", "intensity-lossless",
+                     "--override", "m=8", "--override", "t_end=0.01",
+                     "--override", "output_times=[0.01]",
+                     "--out", str(tmp_path / out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(tmp_path / out) in err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # hopeless tolerances make every step reject until the controller

@@ -4,15 +4,11 @@ import pytest
 from qsolsim import _pair, dynamics
 from qsolsim.dynamics import (
     RHSCoefficients,
-    lap_cols,
     lap_rows,
-    lap_vec,
     photon_balance_residual,
     propagate,
     rhs,
-    rhs_first_order,
     rhs_scratch,
-    rhs_second_order,
     second_order_asymmetry,
 )
 from qsolsim.integrator import StepControl
@@ -45,13 +41,13 @@ class TestFixedPoint:
         state = thermal_state(grid, 0.37, s)
         coeffs = RHSCoefficients(d2=-50.0, chi_t=1e-2, gamma_t=0.08,
                                  delta_omega_t=0.0, n_th=0.37, s=s)
-        assert rhs(state, coeffs).max_abs() < 1e-14
+        assert np.max(np.abs(rhs(state, coeffs).flatten())) < 1e-14
 
     def test_thermal_state_with_offset_is_stationary(self):
         state = thermal_state(GridSpec(m=6, dx=0.2), 0.1, 0.0)
         coeffs = RHSCoefficients(d2=-12.5, chi_t=0.3, gamma_t=0.2,
                                  delta_omega_t=1.5, n_th=0.1, s=0.0)
-        assert rhs(state, coeffs).max_abs() < 1e-14
+        assert np.max(np.abs(rhs(state, coeffs).flatten())) < 1e-14
 
 
 class TestFirstOrderExamples:
@@ -61,7 +57,8 @@ class TestFirstOrderExamples:
                               np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
         coeffs = RHSCoefficients(d2=0.0, chi_t=0.0, gamma_t=0.0,
                                  delta_omega_t=1.0, n_th=0.0, s=1.0)
-        dcu, dcv = rhs_first_order(state, coeffs)
+        deriv = rhs(state, coeffs)
+        dcu, dcv = deriv.cu, deriv.cv
         assert dcu[0] == pytest.approx(0.0, abs=1e-15)
         assert dcv[0] == pytest.approx(-1.0, rel=1e-15)
 
@@ -72,7 +69,8 @@ class TestFirstOrderExamples:
                               np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
         coeffs = RHSCoefficients(d2=0.0, chi_t=chi0, gamma_t=0.0,
                                  delta_omega_t=0.0, n_th=0.0, s=1.0)
-        dcu, dcv = rhs_first_order(state, coeffs)
+        deriv = rhs(state, coeffs)
+        dcu, dcv = deriv.cu, deriv.cv
         assert dcu[0] == pytest.approx(0.0, abs=1e-15)
         assert dcv[0] == pytest.approx(-chi0 * amp ** 3, rel=1e-14)
 
@@ -87,7 +85,8 @@ class TestSecondOrderExamples:
         gamma = 0.31
         coeffs = RHSCoefficients(d2=0.0, chi_t=0.0, gamma_t=gamma,
                                  delta_omega_t=0.0, n_th=0.2, s=0.0)
-        duu, duv, dvv = rhs_second_order(state, coeffs)
+        deriv = rhs(state, coeffs)
+        duu, duv, dvv = deriv.cuu, deriv.cuv, deriv.cvv
         assert duu[1, 3] == pytest.approx(-2.0 * gamma * 0.07, rel=1e-13)
         assert np.all(duv == 0.0) and np.max(np.abs(dvv)) < 1e-16
 
@@ -100,7 +99,7 @@ class TestSecondOrderExamples:
         state = CumulantState(grid, s, 0.0, state.cu, state.cv, cuu, state.cuv, state.cvv)
         coeffs = RHSCoefficients(d2=0.0, chi_t=0.0, gamma_t=gamma,
                                  delta_omega_t=0.0, n_th=n_th, s=s)
-        duu, _, _ = rhs_second_order(state, coeffs)
+        duu = rhs(state, coeffs).cuu
         expected = -2.0 * gamma * q + gamma * (n_th + 0.5 * (1 - s))
         assert duu[2, 2] == pytest.approx(expected, rel=1e-13)
 
@@ -109,7 +108,7 @@ class TestStructuralInvariants:
     def test_free_field_is_static(self):
         state = random_state()
         coeffs = coeffs_for(state, d2=0.0, chi_t=0.0, gamma_t=0.0, delta_omega_t=0.0)
-        assert rhs(state, coeffs).max_abs() == 0.0
+        assert np.max(np.abs(rhs(state, coeffs).flatten())) == 0.0
 
     @pytest.mark.parametrize("boundary", ["absorbing", "periodic"])
     @pytest.mark.parametrize("s_new", [-0.7, 0.0, 0.85])
@@ -172,20 +171,19 @@ class TestStructuralInvariants:
         # with chi = 0 the mean equations ignore the covariances and vice versa
         state = random_state(seed=8)
         coeffs = coeffs_for(state, chi_t=0.0)
-        dcu, dcv = rhs_first_order(state, coeffs)
+        d_full = rhs(state, coeffs)
         stripped = CumulantState(state.grid, state.s, state.t, state.cu, state.cv,
                                  np.zeros_like(state.cuu), np.zeros_like(state.cuv),
                                  np.zeros_like(state.cvv))
-        dcu2, dcv2 = rhs_first_order(stripped, coeffs)
-        assert np.array_equal(dcu, dcu2) and np.array_equal(dcv, dcv2)
+        d_stripped = rhs(stripped, coeffs)
+        assert np.array_equal(d_full.cu, d_stripped.cu) and np.array_equal(d_full.cv, d_stripped.cv)
 
         other_means = CumulantState(state.grid, state.s, state.t,
                                     2.5 * state.cu + 1.0, state.cv - 0.7,
                                     state.cuu, state.cuv, state.cvv)
-        blocks_a = rhs_second_order(state, coeffs)
-        blocks_b = rhs_second_order(other_means, coeffs)
-        for a, b in zip(blocks_a, blocks_b):
-            assert np.array_equal(a, b)
+        d_other = rhs(other_means, coeffs)
+        for block in ("cuu", "cuv", "cvv"):
+            assert np.array_equal(getattr(d_full, block), getattr(d_other, block))
 
     def test_locality_of_linear_coupling(self):
         # with chi = 0, perturbing cell j moves the mean derivative only at j-1, j, j+1
@@ -194,13 +192,13 @@ class TestStructuralInvariants:
         base = thermal_state(grid, 0.0, 0.0)
         coeffs = RHSCoefficients(d2=-2.0, chi_t=0.0, gamma_t=0.1,
                                  delta_omega_t=0.4, n_th=0.0, s=0.0)
-        d0 = rhs_first_order(base, coeffs)
+        d0 = rhs(base, coeffs)
         cu = base.cu.copy()
         j = 4
         cu[j] = 1.0
         bumped = CumulantState(grid, 0.0, 0.0, cu, base.cv, base.cuu, base.cuv, base.cvv)
-        d1 = rhs_first_order(bumped, coeffs)
-        changed = np.nonzero((d1[0] != d0[0]) | (d1[1] != d0[1]))[0]
+        d1 = rhs(bumped, coeffs)
+        changed = np.nonzero((d1.cu != d0.cu) | (d1.cv != d0.cv))[0]
         assert set(changed) <= {j - 1, j, j + 1}
 
     def test_shape_mismatch_raises(self):
@@ -257,11 +255,11 @@ class TestPhotonBalance:
         assert abs(res) < 1e-3 * float(np.sum(intensity(evolved)))
 
 
-def test_lap_vec_boundaries():
+def test_lap_rows_on_a_vector():
     f = np.array([1.0, 2.0, 4.0])
-    absorbing = lap_vec(f, "absorbing")
+    absorbing = lap_rows(f, "absorbing")
     assert np.allclose(absorbing, [0.0, 1.0, -6.0])
-    periodic = lap_vec(f, "periodic")
+    periodic = lap_rows(f, "periodic")
     assert np.allclose(periodic, [4.0, 1.0, -5.0])
 
 
@@ -271,7 +269,11 @@ def test_matrix_stencils_match_the_roll_formula(boundary, m):
     # the reference evaluates -2 f + (f(j-1) + f(j+1)) with np.roll; the
     # buffered stencils must give the same bits, written into ``out``
     mat = np.random.default_rng(m).normal(size=(m, m))
-    for axis, lap in ((0, lap_rows), (1, lap_cols)):
+
+    def lap(out=None):
+        return lap_rows(mat, boundary, out) if axis == 0 else dynamics._lap(mat, 1, boundary, out)
+
+    for axis in (0, 1):
         ref = -2.0 * mat
         if boundary == "periodic":
             ref += np.roll(mat, 1, axis=axis) + np.roll(mat, -1, axis=axis)
@@ -281,6 +283,6 @@ def test_matrix_stencils_match_the_roll_formula(boundary, m):
             ref[tuple(lo)] += mat[tuple(hi)]
             ref[tuple(hi)] += mat[tuple(lo)]
         out = np.full((m, m), np.nan)
-        assert lap(mat, boundary, out=out) is out
+        assert lap(out) is out
         assert np.array_equal(out, ref)
-        assert np.array_equal(lap(mat, boundary), ref)
+        assert np.array_equal(lap(), ref)

@@ -76,6 +76,19 @@ class TestIntegrate:
         assert res.t == 0.0 and res.y[0] == 3.0
         assert [(t, y.tolist()) for t, y in seen] == [(0.0, [3.0])]
 
+    def test_rejects_non_finite_end(self):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(lambda t, y, out: np.negative(y, out=out), [1.0], 0.0, math.nan)
+
+    def test_rejects_non_finite_output_time(self):
+        with pytest.raises(ValueError, match="outside"):
+            integrate(lambda t, y, out: np.negative(y, out=out), [1.0], 0.0, 1.0,
+                      output_times=[math.nan])
+
+    def test_rejects_non_finite_tolerance(self):
+        with pytest.raises(ValueError, match="finite"):
+            StepControl(atol=math.inf)
+
     def test_output_times_hit_exactly(self):
         seen = []
         integrate(lambda t, y, out: np.negative(y, out=out), np.array([1.0]), 0.0, 1.0,

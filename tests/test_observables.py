@@ -10,10 +10,9 @@ from qsolsim.observables import (
     frequency_grid,
     intensity,
     min_delta_omega,
+    nr_arrays,
     photon_correlation,
-    squeezed_thermal_params,
     squeezing_spectrum,
-    uncertainty_ellipse,
 )
 from qsolsim.state import CumulantState, GridSpec, fundamental_soliton, reorder_s, thermal_state
 
@@ -78,17 +77,17 @@ class TestIntensity:
 
 class TestUncertaintyEllipse:
     def test_diagonal_covariance(self):
-        ell = uncertainty_ellipse(single_cell(0.0, 0.3, 0.1), 0)
-        assert (ell.B, ell.b, ell.phi) == pytest.approx((0.3, 0.1, 0.0))
+        big, small, phi = ellipse_arrays(single_cell(0.0, 0.3, 0.1))
+        assert (big[0], small[0], phi[0]) == pytest.approx((0.3, 0.1, 0.0))
 
     def test_sheared_covariance(self):
-        ell = uncertainty_ellipse(single_cell(0.0, 0.2, 0.2, cuv=0.1), 0)
-        assert (ell.B, ell.b) == pytest.approx((0.3, 0.1))
-        assert ell.phi == pytest.approx(math.pi / 4)
+        big, small, phi = ellipse_arrays(single_cell(0.0, 0.2, 0.2, cuv=0.1))
+        assert (big[0], small[0]) == pytest.approx((0.3, 0.1))
+        assert phi[0] == pytest.approx(math.pi / 4)
 
     def test_isotropic_tie_break(self):
-        ell = uncertainty_ellipse(single_cell(0.0, 0.2, 0.2), 0)
-        assert (ell.B, ell.b, ell.phi) == pytest.approx((0.2, 0.2, 0.0))
+        big, small, phi = ellipse_arrays(single_cell(0.0, 0.2, 0.2))
+        assert (big[0], small[0], phi[0]) == pytest.approx((0.2, 0.2, 0.0))
 
     def test_trace_and_determinant_identities(self):
         state = correlated_state(seed=13)
@@ -108,30 +107,30 @@ class TestUncertaintyEllipse:
 
 class TestSqueezedThermalParams:
     def test_wigner_vacuum(self):
-        p = squeezed_thermal_params(single_cell(0.0, 0.25, 0.25), 0)
-        assert p.n == pytest.approx(0.0, abs=1e-14)
-        assert p.r == pytest.approx(0.0, abs=1e-14)
-        assert p.margin == pytest.approx(1.0, rel=1e-12)
-        assert not p.squeezed
+        n, r, _, margin = nr_arrays(single_cell(0.0, 0.25, 0.25))
+        assert n[0] == pytest.approx(0.0, abs=1e-14)
+        assert r[0] == pytest.approx(0.0, abs=1e-14)
+        assert margin[0] == pytest.approx(1.0, rel=1e-12)
+        assert not margin[0] < 1.0
 
     def test_squeezed_vacuum_inverts(self):
         r0 = 0.7
         state = single_cell(0.0, math.exp(2 * r0) / 4, math.exp(-2 * r0) / 4)
-        p = squeezed_thermal_params(state, 0)
-        assert p.n == pytest.approx(0.0, abs=1e-12)
-        assert p.r == pytest.approx(r0, rel=1e-12)
-        assert p.squeezed
+        n, r, _, margin = nr_arrays(state)
+        assert n[0] == pytest.approx(0.0, abs=1e-12)
+        assert r[0] == pytest.approx(r0, rel=1e-12)
+        assert margin[0] < 1.0
 
     def test_thermal_occupation(self):
         n_th = 0.42
         state = single_cell(0.0, 0.25 + n_th / 2, 0.25 + n_th / 2)
-        p = squeezed_thermal_params(state, 0)
-        assert p.n == pytest.approx(n_th, rel=1e-12)
-        assert p.r == pytest.approx(0.0, abs=1e-14)
+        n, r, _, _ = nr_arrays(state)
+        assert n[0] == pytest.approx(n_th, rel=1e-12)
+        assert r[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_unphysical_state_raises(self):
         with pytest.raises(UnphysicalStateError):
-            squeezed_thermal_params(single_cell(0.0, 0.3, -0.3), 0)
+            nr_arrays(single_cell(0.0, 0.3, -0.3))
 
     def test_squeezing_conditions_agree(self):
         # b < (1-s)/4 and (2n+1)e^{-2r} < 1 must coincide on random
@@ -151,10 +150,11 @@ class TestSqueezedThermalParams:
                 cvv=big * d * d + small * c * c,
                 cuv=(big - small) * c * d,
             )
-            p = squeezed_thermal_params(state, 0)
-            assert p.n == pytest.approx(n, rel=1e-10, abs=1e-12)
-            assert p.r == pytest.approx(r, rel=1e-10, abs=1e-12)
-            assert (p.b < 0.25 * (1 - s) - 1e-12) == (p.margin < 1.0 - 1e-12)
+            n_fit, r_fit, _, margin = nr_arrays(state)
+            b = ellipse_arrays(state)[1][0]
+            assert n_fit[0] == pytest.approx(n, rel=1e-10, abs=1e-12)
+            assert r_fit[0] == pytest.approx(r, rel=1e-10, abs=1e-12)
+            assert (b < 0.25 * (1 - s) - 1e-12) == (margin[0] < 1.0 - 1e-12)
 
 
 class TestFrequencyGrid:

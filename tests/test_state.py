@@ -27,7 +27,7 @@ class TestGridSpec:
 
     @pytest.mark.parametrize("kwargs", [
         dict(m=0, dx=0.1), dict(m=4, dx=0.0), dict(m=4, dx=-1.0),
-        dict(m=4, dx=0.1, boundary="reflecting"),
+        dict(m=4, dx=0.1, boundary="reflecting"), dict(m=5, dx=math.inf),
     ])
     def test_rejects_bad_specs(self, kwargs):
         with pytest.raises(ValueError):
