@@ -164,7 +164,7 @@ def _resolve(cfg: dict) -> RunConfig:
     n_th = _get(cfg, "n_th", None, _NUMBER, "a number", lambda v: v >= 0, "must be non-negative")
 
     if mode == "physical":
-        scaled = derive_scales(PhysicalInputs(**block), grid, s=s, n_th=n_th)
+        scaled = derive_scales(PhysicalInputs(**block), grid, n_th=n_th)
     else:
         if n_th is None:
             raise ConfigError("scaled mode requires an explicit 'n_th'")
@@ -176,7 +176,6 @@ def _resolve(cfg: dict) -> RunConfig:
             nbar=float(block["nbar"]),
             n_th=float(n_th),
             delta_omega_t=float(block.get("delta_omega_t", 0.0)),
-            s=s,
             t_d=math.nan,
             x_d=math.nan,
         )

@@ -52,7 +52,7 @@ from ._pair import run_pair
 from .integrator import StepControl, integrate
 from .observables import intensity
 from .state import CumulantDerivative, CumulantState, split_flat
-from .tableaus import DORMAND_PRINCE_853
+from .tableaus import DORMAND_PRINCE_853, Tableau
 
 __all__ = [
     "RHSCoefficients",
@@ -69,9 +69,9 @@ __all__ = [
 class RHSCoefficients:
     """Dimensionless couplings of the cumulant equations (rates per t_d).
 
-    ``s`` records the ordering the coefficients were derived at; the
-    derivative evaluation itself always uses the state's own s so that
-    reordered states stay on the same trajectory.
+    None of them depends on the ordering parameter: every ordering-dependent
+    term is evaluated at the state's own s, so reordered states stay on the
+    same trajectory.
     """
 
     d2: float
@@ -79,10 +79,9 @@ class RHSCoefficients:
     gamma_t: float
     delta_omega_t: float
     n_th: float
-    s: float = 0.0
 
     def __post_init__(self):
-        for name in ("d2", "chi_t", "gamma_t", "delta_omega_t", "n_th", "s"):
+        for name in ("d2", "chi_t", "gamma_t", "delta_omega_t", "n_th"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.gamma_t < 0:
@@ -90,10 +89,9 @@ class RHSCoefficients:
         if self.n_th < 0:
             raise ValueError("reservoir occupation must be non-negative")
 
-    def thermal_src(self, s: float | None = None) -> float:
-        """Noise injection rate gamma_t * (n_th + (1-s)/2)."""
-        s_eff = self.s if s is None else s
-        return self.gamma_t * (self.n_th + 0.5 * (1.0 - s_eff))
+    def thermal_src(self, s: float) -> float:
+        """Noise injection rate gamma_t * (n_th + (1-s)/2) at ordering s."""
+        return self.gamma_t * (self.n_th + 0.5 * (1.0 - s))
 
 
 # -- boundary-aware stencils -------------------------------------------------
@@ -351,39 +349,24 @@ def photon_balance_residual(state: CumulantState, deriv: CumulantDerivative,
 
 
 def propagate(state: CumulantState, coeffs: RHSCoefficients, t_end: float,
-              output_times=None, tableau=None, control=None, observer=None,
-              collect: bool = True):
+              output_times=None, tableau: Tableau = DORMAND_PRINCE_853,
+              control: StepControl = StepControl()):
     """Integrate the cumulant system from state.t to t_end (scaled time).
 
-    Returns (states, stats): the states at the requested output times (by
-    default just t_end) and the integrator step statistics.  ``observer``,
-    if given, is called with each output state as it is reached; pass
-    ``collect=False`` to rely on the observer alone and keep memory flat.
+    Returns (states, stats): a copy of the state at each requested output
+    time (by default just t_end) and the integrator step statistics.
     """
     if output_times is None:
         output_times = (t_end,)
-    if tableau is None:
-        tableau = DORMAND_PRINCE_853
-    if control is None:
-        control = StepControl()
-
     scratch = rhs_scratch(state.grid.m)
 
     def fun(t, y, out):
         rhs(state.with_flat(y, t), coeffs, out=out, scratch=scratch)
 
     states: list[CumulantState] = []
-
-    def on_output(t, y):
-        snapshot = state.with_flat(np.array(y, copy=True), t)
-        if collect:
-            states.append(snapshot)
-        if observer is not None:
-            observer(snapshot)
-
     result = integrate(
         fun, state.flatten(), state.t, t_end,
-        tableau=tableau, control=control,
-        output_times=output_times, observer=on_output,
+        tableau=tableau, control=control, output_times=output_times,
+        observer=lambda t, y: states.append(state.with_flat(np.array(y, copy=True), t)),
     )
     return states, result.stats

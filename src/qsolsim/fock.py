@@ -94,7 +94,7 @@ class FockConfig:
     def coefficients(self) -> RHSCoefficients:
         return RHSCoefficients(
             d2=self.d2, chi_t=self.chi_t, gamma_t=self.gamma_t,
-            delta_omega_t=self.delta_omega_t, n_th=self.n_th, s=self.s,
+            delta_omega_t=self.delta_omega_t, n_th=self.n_th,
         )
 
 

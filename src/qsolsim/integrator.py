@@ -62,19 +62,19 @@ class NonFiniteStateError(IntegrationError):
     pass
 
 
-# step-size controller: safety factor and the clamps on the per-step change
+# step-size controller: safety factor, per-step change clamps, consecutive-rejection limit
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
+MAX_REJECTS = 50
 
 
 @dataclass(frozen=True)
 class StepControl:
-    """Tolerances and rejection limit of the adaptive step-size controller."""
+    """Absolute and relative tolerances of the adaptive step-size controller."""
 
     atol: float = 1e-9
     rtol: float = 1e-9
-    max_rejects: int = 50
 
     def __post_init__(self):
         if not (0 < self.atol < math.inf and 0 < self.rtol < math.inf):
@@ -381,9 +381,9 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
             h = res.h_next
             rejected = True
             rejects_in_row += 1
-            if rejects_in_row > control.max_rejects:
+            if rejects_in_row > MAX_REJECTS:
                 raise IntegrationError(
-                    f"more than {control.max_rejects} consecutive step rejections", t)
+                    f"more than {MAX_REJECTS} consecutive step rejections", t)
 
     return IntegrationResult(t, y, stats)
 

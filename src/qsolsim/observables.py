@@ -57,8 +57,8 @@ class LOPulse:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1:
-            raise ValueError("LO amplitudes must be a vector")
+        if amps.ndim != 1 or not np.all(np.isfinite(amps)):
+            raise ValueError("LO amplitudes must be a vector of finite numbers")
         if not np.any(amps):
             raise ValueError("local oscillator must not vanish identically")
         object.__setattr__(self, "amplitudes", amps)
@@ -157,10 +157,10 @@ def min_delta_omega(grid: GridSpec) -> float:
 
 def _omega_internal(grid: GridSpec, omega_w0) -> np.ndarray:
     omega = np.atleast_1d(np.asarray(omega_w0, dtype=float)) * OMEGA_UNIT
-    bound = math.pi / grid.dx * (1.0 + 1e-12)
-    if np.any(np.abs(omega) > bound):
+    bound = math.pi / grid.dx
+    if not np.all(np.abs(omega) <= bound * (1.0 + 1e-12)):  # NaN fails the comparison too
         raise ValueError(
-            f"frequency beyond the sampling bound {math.pi / grid.dx / OMEGA_UNIT:g} w0")
+            f"frequency not finite or beyond the sampling bound {bound / OMEGA_UNIT:g} w0")
     return omega
 
 
@@ -192,6 +192,9 @@ def squeezing_spectrum(state: CumulantState, lo: LOPulse, omega_w0,
     """
     if lo.amplitudes.shape != (state.grid.m,):
         raise ValueError("LO length must match the grid")
+    optimal = isinstance(phase, str)
+    if (phase != "optimal") if optimal else not math.isfinite(phase):
+        raise ValueError(f"phase must be a finite float or 'optimal', got {phase!r}")
     omega = _omega_internal(state.grid, omega_w0)
     x = state.grid.positions()
     k_f, k_g = _kernels(state)
@@ -211,9 +214,7 @@ def squeezing_spectrum(state: CumulantState, lo: LOPulse, omega_w0,
     s_min = 2.0 * (np.real(f_l) - np.abs(g_l)) / i0
     phi_opt = np.where(np.abs(g_l) > 0.0,
                        0.5 * (math.pi - np.angle(g_l)), 0.0)
-    if isinstance(phase, str):
-        if phase != "optimal":
-            raise ValueError(f"phase must be a float or 'optimal', got {phase!r}")
+    if optimal:
         s = s_min.copy()
     else:
         s = 2.0 * np.real(f_l + np.exp(2j * float(phase)) * g_l) / i0
@@ -236,9 +237,9 @@ def photon_correlation(state: CumulantState, omega_w0,
     d_min = min_delta_omega(grid)
     if delta_omega is None:
         delta_omega = d_min
-    if delta_omega < d_min * (1.0 - 1e-9):
-        raise ValueError(
-            f"window {delta_omega:g} below the minimal resolvable {d_min:g} (w0 units)")
+    if not (math.isfinite(delta_omega) and delta_omega >= d_min * (1.0 - 1e-9)):
+        raise ValueError(f"window {delta_omega:g} not finite or below the minimal "
+                         f"resolvable {d_min:g} (w0 units)")
     omega = _omega_internal(grid, omega_w0)
     d_omega_int = delta_omega * OMEGA_UNIT
     x = grid.positions()

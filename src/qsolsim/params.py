@@ -99,7 +99,6 @@ class ScaledParams:
     nbar: float
     n_th: float
     delta_omega_t: float
-    s: float
     t_d: float
     x_d: float
 
@@ -131,7 +130,7 @@ def thermal_occupation(lambda_c: float, T: float) -> float:
 
 
 def derive_scales(inputs: PhysicalInputs, grid: GridSpec, *,
-                  s: float = 0.0, n_th: float | None = None) -> ScaledParams:
+                  n_th: float | None = None) -> ScaledParams:
     """Reduce laboratory inputs to the dimensionless parameter set.
 
     k2 = 2 pi c D / omega_c^2 (magnitude), x_d = t0^2 / |k2|,
@@ -154,7 +153,6 @@ def derive_scales(inputs: PhysicalInputs, grid: GridSpec, *,
         nbar=inputs.nbar,
         n_th=occupation,
         delta_omega_t=inputs.delta_omega * t_d,
-        s=s,
         t_d=t_d,
         x_d=x_d,
     )
@@ -172,7 +170,6 @@ def rhs_coefficients(scaled: ScaledParams, grid: GridSpec) -> RHSCoefficients:
         gamma_t=scaled.gamma_t,
         delta_omega_t=scaled.delta_omega_t,
         n_th=scaled.n_th,
-        s=scaled.s,
     )
 
 

@@ -21,6 +21,7 @@ time and pulse width units).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,8 +48,8 @@ class GridSpec:
     boundary: str = "absorbing"
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"grid needs at least one cell, got m={self.m}")
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral) or self.m < 1:
+            raise ValueError(f"grid needs a positive integer cell count, got m={self.m!r}")
         if not (self.dx > 0 and math.isfinite(self.dx)):
             raise ValueError(f"cell width must be positive and finite, got dx={self.dx}")
         if self.boundary not in _BOUNDARIES:

@@ -13,7 +13,7 @@ PAPER_NTH = 1e-16
 PAPER_NBAR = 1e9
 
 
-def paper_setup(m=200, dx=0.1, gamma_t=0.0, s=0.0, boundary="absorbing",
+def paper_setup(m=200, dx=0.1, gamma_t=0.0, boundary="absorbing",
                 chi_on=True, delta_omega_t=0.0, n_th=PAPER_NTH):
     """Grid, photon scale and couplings of the reference soliton runs."""
     grid = GridSpec(m=m, dx=dx, boundary=boundary)
@@ -24,29 +24,27 @@ def paper_setup(m=200, dx=0.1, gamma_t=0.0, s=0.0, boundary="absorbing",
         gamma_t=gamma_t,
         delta_omega_t=delta_omega_t,
         n_th=n_th,
-        s=s,
     )
     return grid, n0, coeffs
 
 
 def soliton_run(m, gamma_t, s, t_end, output_times, tol=1e-9, track_center=False):
-    """Integrate a fundamental-soliton initial state; optionally record only
-    the center-cell ellipse history instead of keeping full states."""
-    grid, n0, coeffs = paper_setup(m=m, gamma_t=gamma_t, s=s)
+    """Integrate a fundamental-soliton initial state and record the
+    center-cell ellipse history; ``track_center`` runs keep only that
+    history, not the full states."""
+    grid, n0, coeffs = paper_setup(m=m, gamma_t=gamma_t)
     state0 = fundamental_soliton(grid, n0, PAPER_NTH, s)
     control = StepControl(atol=tol, rtol=tol)
+    states, stats = propagate(state0, coeffs, t_end, output_times=output_times,
+                              control=control)
+    j = m // 2
     center_series = []
-
-    def center_observer(st):
+    for st in states:
         big, small, _ = ellipse_arrays(st)
-        j = m // 2
         center_series.append((st.t, float(big[j]), float(small[j]),
                               complex(st.cu[j] + 1j * st.cv[j])))
-
-    states, stats = propagate(
-        state0, coeffs, t_end, output_times=output_times, control=control,
-        observer=center_observer, collect=not track_center,
-    )
+    if track_center:
+        states = []
     return {
         "grid": grid, "n0": n0, "coeffs": coeffs, "states": states,
         "stats": stats, "center": center_series, "s": s, "gamma_t": gamma_t,

@@ -251,7 +251,7 @@ def test_criterion_11_integrator_order():
     gamma, dw, n_th, s = 0.3, 3.0, 0.4, 0.0
     grid = GridSpec(m=1, dx=1.0)
     coeffs = RHSCoefficients(d2=0.0, chi_t=0.0, gamma_t=gamma,
-                             delta_omega_t=dw, n_th=n_th, s=s)
+                             delta_omega_t=dw, n_th=n_th)
     state0 = CumulantState(grid, s, 0.0, np.array([1.3]), np.array([-0.4]),
                            np.array([[0.9]]), np.array([[0.2]]), np.array([[0.5]]))
 

@@ -263,7 +263,7 @@ class TestArtifacts:
         echo = manifest["config"]
         grid = GridSpec(m=echo["m"], dx=echo["dx"])
         scaled = derive_scales(PhysicalInputs(**echo["physical"]), grid,
-                               s=echo["s"], n_th=echo["n_th"])
+                               n_th=echo["n_th"])
         coeffs = rhs_coefficients(scaled, grid)
         assert manifest["scaled_params"]["gamma_t"] == scaled.gamma_t
         assert manifest["scaled_params"]["n0"] == scaled.n0

@@ -29,7 +29,7 @@ def random_state(m=7, s=0.3, boundary="absorbing", seed=5, scale=1.0):
 
 
 def coeffs_for(state, **kw):
-    base = dict(d2=-3.1, chi_t=0.4, gamma_t=0.12, delta_omega_t=0.7, n_th=0.25, s=state.s)
+    base = dict(d2=-3.1, chi_t=0.4, gamma_t=0.12, delta_omega_t=0.7, n_th=0.25)
     base.update(kw)
     return RHSCoefficients(**base)
 
@@ -40,13 +40,13 @@ class TestFixedPoint:
         grid = GridSpec(m=12, dx=0.1)
         state = thermal_state(grid, 0.37, s)
         coeffs = RHSCoefficients(d2=-50.0, chi_t=1e-2, gamma_t=0.08,
-                                 delta_omega_t=0.0, n_th=0.37, s=s)
+                                 delta_omega_t=0.0, n_th=0.37)
         assert np.max(np.abs(rhs(state, coeffs).flatten())) < 1e-14
 
     def test_thermal_state_with_offset_is_stationary(self):
         state = thermal_state(GridSpec(m=6, dx=0.2), 0.1, 0.0)
         coeffs = RHSCoefficients(d2=-12.5, chi_t=0.3, gamma_t=0.2,
-                                 delta_omega_t=1.5, n_th=0.1, s=0.0)
+                                 delta_omega_t=1.5, n_th=0.1)
         assert np.max(np.abs(rhs(state, coeffs).flatten())) < 1e-14
 
 
@@ -56,7 +56,7 @@ class TestFirstOrderExamples:
         state = CumulantState(grid, 1.0, 0.0, np.array([1.0]), np.array([0.0]),
                               np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
         coeffs = RHSCoefficients(d2=0.0, chi_t=0.0, gamma_t=0.0,
-                                 delta_omega_t=1.0, n_th=0.0, s=1.0)
+                                 delta_omega_t=1.0, n_th=0.0)
         deriv = rhs(state, coeffs)
         dcu, dcv = deriv.cu, deriv.cv
         assert dcu[0] == pytest.approx(0.0, abs=1e-15)
@@ -68,7 +68,7 @@ class TestFirstOrderExamples:
         state = CumulantState(grid, 1.0, 0.0, np.array([amp]), np.array([0.0]),
                               np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
         coeffs = RHSCoefficients(d2=0.0, chi_t=chi0, gamma_t=0.0,
-                                 delta_omega_t=0.0, n_th=0.0, s=1.0)
+                                 delta_omega_t=0.0, n_th=0.0)
         deriv = rhs(state, coeffs)
         dcu, dcv = deriv.cu, deriv.cv
         assert dcu[0] == pytest.approx(0.0, abs=1e-15)
@@ -84,7 +84,7 @@ class TestSecondOrderExamples:
         state = CumulantState(grid, 0.0, 0.0, state.cu, state.cv, cuu, state.cuv, state.cvv)
         gamma = 0.31
         coeffs = RHSCoefficients(d2=0.0, chi_t=0.0, gamma_t=gamma,
-                                 delta_omega_t=0.0, n_th=0.2, s=0.0)
+                                 delta_omega_t=0.0, n_th=0.2)
         deriv = rhs(state, coeffs)
         duu, duv, dvv = deriv.cuu, deriv.cuv, deriv.cvv
         assert duu[1, 3] == pytest.approx(-2.0 * gamma * 0.07, rel=1e-13)
@@ -98,7 +98,7 @@ class TestSecondOrderExamples:
         cuu[2, 2] = q
         state = CumulantState(grid, s, 0.0, state.cu, state.cv, cuu, state.cuv, state.cvv)
         coeffs = RHSCoefficients(d2=0.0, chi_t=0.0, gamma_t=gamma,
-                                 delta_omega_t=0.0, n_th=n_th, s=s)
+                                 delta_omega_t=0.0, n_th=n_th)
         duu = rhs(state, coeffs).cuu
         expected = -2.0 * gamma * q + gamma * (n_th + 0.5 * (1 - s))
         assert duu[2, 2] == pytest.approx(expected, rel=1e-13)
@@ -191,7 +191,7 @@ class TestStructuralInvariants:
         grid = GridSpec(m=m, dx=0.2)
         base = thermal_state(grid, 0.0, 0.0)
         coeffs = RHSCoefficients(d2=-2.0, chi_t=0.0, gamma_t=0.1,
-                                 delta_omega_t=0.4, n_th=0.0, s=0.0)
+                                 delta_omega_t=0.4, n_th=0.0)
         d0 = rhs(base, coeffs)
         cu = base.cu.copy()
         j = 4
@@ -212,7 +212,7 @@ class TestPhotonBalance:
     def test_thermal_state_balances_exactly(self):
         state = thermal_state(GridSpec(m=8, dx=0.1), 0.4, 0.0)
         coeffs = RHSCoefficients(d2=-50.0, chi_t=0.0, gamma_t=0.07,
-                                 delta_omega_t=0.0, n_th=0.4, s=0.0)
+                                 delta_omega_t=0.0, n_th=0.4)
         assert photon_balance_residual(state, rhs(state, coeffs), coeffs) == pytest.approx(0.0, abs=1e-12)
 
     def test_periodic_linear_identity(self):
@@ -224,7 +224,7 @@ class TestPhotonBalance:
         n0 = 40.0
         state = fundamental_soliton(grid, n0, 0.3, 0.0)
         coeffs = RHSCoefficients(d2=-8.0, chi_t=0.0, gamma_t=0.05,
-                                 delta_omega_t=0.0, n_th=0.3, s=0.0)
+                                 delta_omega_t=0.0, n_th=0.3)
         deriv = rhs(state, coeffs)
         res = photon_balance_residual(state, deriv, coeffs)
         total = float(np.sum(intensity(state)))
@@ -247,7 +247,7 @@ class TestPhotonBalance:
         n0 = 1e4
         state = fundamental_soliton(grid, n0, 0.0, 0.0)
         coeffs = RHSCoefficients(d2=-12.5, chi_t=1.0 / n0, gamma_t=0.05,
-                                 delta_omega_t=0.0, n_th=0.0, s=0.0)
+                                 delta_omega_t=0.0, n_th=0.0)
         states, _ = propagate(state, coeffs, 0.5, output_times=[0.5])
         evolved = states[0]
         res = photon_balance_residual(evolved, rhs(evolved, coeffs), coeffs)

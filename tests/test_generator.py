@@ -166,7 +166,7 @@ def test_rhs_matches_generator_derivation(derived_rhs):
         coeffs = RHSCoefficients(
             d2=float(rng.normal()), chi_t=float(rng.normal()),
             gamma_t=float(rng.uniform(0, 0.5)), delta_omega_t=float(rng.normal()),
-            n_th=float(rng.uniform(0, 1)), s=state.s,
+            n_th=float(rng.uniform(0, 1)),
         )
         args = ([coeffs.gamma_t, coeffs.delta_omega_t, coeffs.d2, coeffs.chi_t,
                  state.s, coeffs.n_th]

@@ -159,8 +159,18 @@ class TestIntegrate:
 
         with pytest.raises((StepSizeUnderflow, IntegrationError)) as err:
             integrate(fun, np.array([1.0]), 0.0, 1.0,
-                      control=StepControl(atol=1e-10, rtol=1e-10, max_rejects=2000))
+                      control=StepControl(atol=1e-10, rtol=1e-10))
         assert err.value.t <= 0.5 + 1e-6
+
+    def test_consecutive_rejections_abort_with_time(self):
+        # the derivative is NaN away from t = 0, so every trial step fails
+        # its error test without the state ever advancing
+        with pytest.raises(IntegrationError) as err:
+            integrate(lambda t, y, out: out.fill(1.0 if t == 0 else math.nan),
+                      np.array([1.0]), 0.0, 1.0)
+        assert type(err.value) is IntegrationError
+        assert str(err.value) == "more than 50 consecutive step rejections (at t = 0.0)"
+        assert err.value.t == 0.0
 
     def test_overflowing_derivative_norm_falls_back_to_a_small_first_step(self):
         # atol = 1e-200 makes the weighted derivative norm overflow, so the
@@ -213,7 +223,7 @@ class TestCumulantSystemIntegration:
         grid = GridSpec(m=24, dx=0.1)
         state = thermal_state(grid, 1e-16, 0.0)
         coeffs = RHSCoefficients(d2=-50.0, chi_t=1e-7, gamma_t=5.8e-3,
-                                 delta_omega_t=0.0, n_th=1e-16, s=0.0)
+                                 delta_omega_t=0.0, n_th=1e-16)
         states, _ = propagate(state, coeffs, 10.0, output_times=[10.0])
         drift = max(
             np.max(np.abs(states[0].cu - state.cu)),
@@ -237,7 +247,7 @@ class TestCumulantSystemIntegration:
         monkeypatch.setattr(dynamics, "rhs", counting_rhs)
         state = fundamental_soliton(GridSpec(m=16, dx=0.3), 4.0, 1e-3, 0.0)
         coeffs = RHSCoefficients(d2=-1.0 / 0.18, chi_t=0.25, gamma_t=0.05,
-                                 delta_omega_t=0.0, n_th=1e-3, s=0.0)
+                                 delta_omega_t=0.0, n_th=1e-3)
         _, stats = propagate(state, coeffs, 0.2)
         assert stats.n_rhs > 0
         assert len(calls) == stats.n_rhs
@@ -247,7 +257,7 @@ class TestCumulantSystemIntegration:
         grid = GridSpec(m=1, dx=1.0)
         gamma, dw = 0.3, 1.1
         coeffs = RHSCoefficients(d2=0.0, chi_t=0.0, gamma_t=gamma,
-                                 delta_omega_t=dw, n_th=0.0, s=1.0)
+                                 delta_omega_t=dw, n_th=0.0)
         state = thermal_state(grid, 0.0, 1.0)
         state = type(state)(grid, 1.0, 0.0, np.array([2.0]), np.array([-1.0]),
                             state.cuu, state.cuv, state.cvv)
@@ -264,7 +274,7 @@ class TestCumulantSystemIntegration:
         grid = GridSpec(m=m, dx=dx, boundary="periodic")
         gamma, d2 = 0.07, -4.0
         coeffs = RHSCoefficients(d2=d2, chi_t=0.0, gamma_t=gamma,
-                                 delta_omega_t=0.0, n_th=0.0, s=1.0)
+                                 delta_omega_t=0.0, n_th=0.0)
         rng = np.random.default_rng(2)
         cu = rng.normal(size=m)
         cv = rng.normal(size=m)

@@ -272,6 +272,18 @@ class TestSqueezingSpectrum:
         with pytest.raises(ValueError):
             LOPulse(np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_lo_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            LOPulse([1.0, bad, 1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("omega, phase", [([math.nan], "optimal"), ([0.0], math.nan)])
+    def test_non_finite_frequency_or_phase_rejected(self, omega, phase):
+        grid = GridSpec(m=5, dx=0.5)
+        state = thermal_state(grid, 0.1, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            squeezing_spectrum(state, LOPulse(np.ones(grid.m)), omega, phase)
+
 
 class TestPhotonCorrelation:
     def test_coherent_state_is_poissonian(self):
@@ -290,6 +302,12 @@ class TestPhotonCorrelation:
         state = thermal_state(grid, 0.1, 0.0)
         with pytest.raises(ValueError, match="minimal resolvable"):
             photon_correlation(state, [0.0], delta_omega=0.1 * min_delta_omega(grid))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_window_rejected(self, bad):
+        state = thermal_state(GridSpec(m=8, dx=0.25), 0.1, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            photon_correlation(state, [0.0, 0.5], delta_omega=bad)
 
     def test_thermal_single_window_bunching(self):
         # oracle: a thermal field has <:dN^2:> = <N>^2 per mode, so the full

@@ -26,7 +26,7 @@ def test_trajectory_is_bit_identical_inline_and_threaded(monkeypatch):
     grid = GridSpec(m=41, dx=0.25)
     state = fundamental_soliton(grid, 1e4, 1e-3, 0.0)
     coeffs = RHSCoefficients(d2=-8.0, chi_t=1e-4, gamma_t=0.05,
-                             delta_omega_t=0.0, n_th=1e-3, s=0.0)
+                             delta_omega_t=0.0, n_th=1e-3)
 
     def trajectory():
         states, stats = propagate(state, coeffs, 0.1, output_times=[0.05, 0.1])
