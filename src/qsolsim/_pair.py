@@ -47,7 +47,9 @@ def _serve(jobs: queue.SimpleQueue) -> None:
         except BaseException as exc:  # re-raised on the calling thread
             job.error = exc
         finally:
-            job.done.release()
+            # hold nothing of a finished job: its closure may pin large arrays
+            done, job = job.done, None
+            done.release()
 
 
 _start_lock = threading.Lock()

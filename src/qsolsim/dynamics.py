@@ -111,28 +111,29 @@ def _lap(f: np.ndarray, axis: int, boundary: str, out=None, tmp=None,
         out = np.empty_like(f)
     if tmp is None and boundary == "periodic":
         tmp = np.empty_like(f)
-    if axis == 1:  # the same stencil along the first axis of the transposes
-        _lap(f.T, 0, boundary, out.T, None if tmp is None else tmp.T, lo, hi)
-        return out
-    n = len(f)
+
+    def at(start, stop):  # the index range [start, stop) along ``axis``
+        return (slice(None),) * axis + (slice(start, stop),)
+
+    n = f.shape[axis]
     hi = n if hi is None else hi
-    np.multiply(f[lo:hi], -2.0, out=out[lo:hi])
+    np.multiply(f[at(lo, hi)], -2.0, out=out[at(lo, hi)])
     if boundary == "periodic":
         # tmp = roll(f, 1) + roll(f, -1), built from slices instead of copies
         a, b = max(lo, 1), min(hi, n - 1)
         if a < b:
-            np.add(f[a - 1:b - 1], f[a + 1:b + 1], out=tmp[a:b])
+            np.add(f[at(a - 1, b - 1)], f[at(a + 1, b + 1)], out=tmp[at(a, b)])
         if lo == 0 < hi:
-            np.add(f[n - 1:n], f[1 % n:1 % n + 1], out=tmp[:1])
+            np.add(f[at(n - 1, n)], f[at(1 % n, 1 % n + 1)], out=tmp[at(0, 1)])
         if lo < hi == n:
-            np.add(f[(n - 2) % n:(n - 2) % n + 1], f[:1], out=tmp[n - 1:])
-        out[lo:hi] += tmp[lo:hi]
+            np.add(f[at((n - 2) % n, (n - 2) % n + 1)], f[at(0, 1)], out=tmp[at(n - 1, n)])
+        out[at(lo, hi)] += tmp[at(lo, hi)]
     else:  # absorbing: out-of-range cells read as zero
         a, b = max(lo, 1), min(hi, n - 1)
         if lo < b:
-            out[lo:b] += f[lo + 1:b + 1]
+            out[at(lo, b)] += f[at(lo + 1, b + 1)]
         if a < hi:
-            out[a:hi] += f[a - 1:hi - 1]
+            out[at(a, hi)] += f[at(a - 1, hi - 1)]
     return out
 
 
@@ -146,10 +147,12 @@ def lap_rows(mat: np.ndarray, boundary: str, out=None) -> np.ndarray:
 def rhs_scratch(m: int) -> np.ndarray:
     """Work blocks for ``rhs(..., scratch=)``; reusable across states of size m.
 
-    Eight m x m blocks: the raw uu and vv derivatives, two blocks shared by
-    both halves of the second-order assembly and two temporaries per half.
+    Seven m x m blocks: two shared by both halves of the second-order
+    assembly (h[j] + h[k] and the phase rotation of cuv), two temporaries per
+    half and the periodic stencil's neighbour sum, of which each half writes
+    only its own rows.
     """
-    return np.empty((8, m, m))
+    return np.empty((7, m, m))
 
 
 def _local_factors(state: CumulantState):
@@ -190,26 +193,22 @@ def _first_order(state: CumulantState, coeffs: RHSCoefficients, factors):
     return dcu, dcv
 
 
-def _set_diag(mat: np.ndarray, diag: np.ndarray) -> None:
-    """mat = np.diag(diag), written in place."""
-    mat.fill(0.0)
-    np.fill_diagonal(mat, diag)
-
-
 class _SecondOrder:
     """The second-order assembly of one state, split into independent parts.
 
-    Construction takes the local Kerr factors (``_local_factors``) and
-    evaluates what every part shares: hsum = h[j] + h[k] and
-    rot_uv = dw * (cuv + cuv^T), written into the two given blocks.  Then
-    ``mirror_block`` writes the raw uu or vv block and ``uv_rows`` a row
-    range of the uv block; parts that are given their own temporaries may
-    run concurrently.  Every term is the same sequence of floating-point
-    operations as a term-by-term evaluation, so results do not depend on
-    buffers, row ranges or threads.  The v-u cross block is cuv.T, and the
-    stencil in the first slot of a transposed block equals the transpose of
-    the stencil in the second slot (lapL(M.T) = lapR(M).T), so each
-    Laplacian is evaluated once and reused transposed.
+    Construction takes the local Kerr factors (``_local_factors``) and the
+    two blocks that every part shares; ``shared_rows`` fills a row range of
+    them with hsum = h[j] + h[k] and rot_uv = dw * (cuv + cuv^T).  Once all
+    their rows are written, ``mirror_block`` writes the uu or vv block and
+    ``uv_rows`` a row range of the uv block; parts that are given their own
+    temporaries may run concurrently.  Every term is the same sequence of
+    floating-point operations as a term-by-term evaluation, so results do
+    not depend on buffers, row ranges or threads.  Each term of a mirror
+    block is exactly symmetric when cuu and cvv are, and so is their sum.
+    The v-u cross block is cuv.T, and the stencil in the first slot of a
+    transposed block equals the transpose of the stencil in the second slot
+    (lapL(M.T) = lapR(M).T), so each Laplacian is evaluated once and reused
+    transposed.
     """
 
     def __init__(self, state: CumulantState, coeffs: RHSCoefficients, factors, hsum, rot_uv):
@@ -221,13 +220,17 @@ class _SecondOrder:
         self.src = coeffs.thermal_src(state.s)
         self.sx = state.s * self.x
         self.uv_diag = 0.5 * self.sx * (state.cv ** 2 + diag_vv - state.cu ** 2 - diag_uu)
-        np.add(self.h[:, None], self.h[None, :], out=hsum)
-        np.add(state.cuv, state.cuv.T, out=rot_uv)
-        rot_uv *= self.dw
         self.hsum, self.rot_uv = hsum, rot_uv
 
+    def shared_rows(self, lo: int, hi: int) -> None:
+        """Rows [lo, hi) of hsum and rot_uv."""
+        rows, cuv = slice(lo, hi), self.state.cuv
+        np.add(self.h[rows, None], self.h[None, :], out=self.hsum[rows])
+        rot = np.add(cuv[rows], cuv[:, rows].T, out=self.rot_uv[rows])
+        rot *= self.dw
+
     def mirror_block(self, sign: int, out, tmp, acc) -> None:
-        """Raw uu (sign +1) or vv (sign -1) block: source + decay, phase
+        """The uu (sign +1) or vv (sign -1) block: source + decay, phase
         rotation, dispersion, Kerr.
 
         The vv block is the uu block under u <-> v: the thermal source and
@@ -240,8 +243,11 @@ class _SecondOrder:
             axis, cxx, kerr = 1, st.cuu, self.g1[None, :]
         else:
             axis, cxx, kerr = 0, st.cvv, self.g2[:, None]
-        _set_diag(out, self.src + (sign * self.sx) * self.h)
-        (np.add if sign > 0 else np.subtract)(out, self.rot_uv, out=out)
+        rotate = np.add if sign > 0 else np.subtract
+        # source +- rotation on the diagonal, 0 +- rotation off it: one pass
+        rotate(0.0, self.rot_uv, out=out)
+        np.fill_diagonal(out, rotate(self.src + (sign * self.sx) * self.h,
+                                     np.diagonal(self.rot_uv)))
         out -= np.multiply(cxx, self.two_gamma, out=tmp)
         _lap(st.cuv, axis, self.bnd, tmp, acc)
         np.add(tmp, tmp.T, out=acc)
@@ -256,7 +262,8 @@ class _SecondOrder:
         out += tmp
 
     def uv_rows(self, lo: int, hi: int, duv, tmp, acc, spare) -> None:
-        """Rows [lo, hi) of the uv block; ``spare`` is a third temporary."""
+        """Rows [lo, hi) of the uv block; ``spare`` is a third temporary,
+        of which only rows [lo, hi) are written."""
         st, x = self.state, self.x
         rows = slice(lo, hi)
         cuu, cuv, cvv = st.cuu[rows], st.cuv[rows], st.cvv[rows]
@@ -284,11 +291,14 @@ class _SecondOrder:
 
 
 def second_order_asymmetry(state: CumulantState, coeffs: RHSCoefficients) -> float:
-    """Max relative asymmetry of the raw (pre-symmetrization) uu/vv derivatives."""
-    raw_uu, raw_vv, hsum, rot_uv, tmp, acc, _, _ = rhs_scratch(state.grid.m)
+    """Max relative asymmetry of the uu/vv derivatives as assembled term by
+    term; 0 when cuu and cvv are exactly symmetric."""
+    m = state.grid.m
+    hsum, rot_uv, mat, tmp, acc = np.empty((5, m, m))
     parts = _SecondOrder(state, coeffs, _local_factors(state), hsum, rot_uv)
+    parts.shared_rows(0, m)
     out = 0.0
-    for sign, mat in ((1, raw_uu), (-1, raw_vv)):
+    for sign in (1, -1):
         parts.mirror_block(sign, mat, tmp, acc)
         scale = max(float(np.max(np.abs(mat))), 1.0)
         out = max(out, float(np.max(np.abs(mat - mat.T))) / scale)
@@ -304,9 +314,16 @@ def rhs(state: CumulantState, coeffs: RHSCoefficients, out: np.ndarray | None = 
     temporaries live in ``scratch`` (``rhs_scratch(m)``).  Either is
     allocated when not given, so repeated calls with both given allocate no
     m x m array.  The second-order blocks are assembled as two fixed halves,
-    concurrently when the process may use two CPUs (``_pair.run_pair``); the
-    result is the same either way.  The uu/vv blocks are symmetrized after
-    assembly; ``second_order_asymmetry`` reports the raw asymmetry.
+    concurrently when the process may use two CPUs (``_pair.run_pair``),
+    after the blocks both halves read, which are split the same way; the
+    result is the same either way.  The uu/vv blocks are assembled straight
+    into ``out``, with no symmetrizing pass, and come out exactly symmetric
+    when cuu and cvv are.  The constructors and ``reorder_s`` build them
+    exactly symmetric and RK steps keep them so, except at some odd m (seen
+    from m = 193 up), where the BLAS stage sums round a few elements
+    differently by their position in the vector and leave 1-ulp
+    asymmetries that the derivative then carries; ``second_order_asymmetry``
+    measures them.
     """
     m = state.grid.m
     if out is None:
@@ -316,18 +333,17 @@ def rhs(state: CumulantState, coeffs: RHSCoefficients, out: np.ndarray | None = 
     deriv = CumulantDerivative(*split_flat(out, m))
     factors = _local_factors(state)
     deriv.cu[...], deriv.cv[...] = _first_order(state, coeffs, factors)
-    raw_uu, raw_vv, hsum, rot_uv, tmp_a, acc_a, tmp_b, acc_b = scratch
+    hsum, rot_uv, spare, tmp_a, acc_a, tmp_b, acc_b = scratch
     parts = _SecondOrder(state, coeffs, factors, hsum, rot_uv)
 
-    def half(sign, raw, sym, lo, hi, tmp, acc):
-        parts.mirror_block(sign, raw, tmp, acc)
-        np.add(raw, raw.T, out=sym)
-        sym *= 0.5
-        parts.uv_rows(lo, hi, deriv.cuv, tmp, acc, raw)  # raw is free again
+    def half(sign, block, lo, hi, tmp, acc):
+        parts.mirror_block(sign, block, tmp, acc)
+        parts.uv_rows(lo, hi, deriv.cuv, tmp, acc, spare)
 
     cut = m // 2
-    run_pair(lambda: half(1, raw_uu, deriv.cuu, 0, cut, tmp_a, acc_a),
-             lambda: half(-1, raw_vv, deriv.cvv, cut, m, tmp_b, acc_b))
+    run_pair(lambda: parts.shared_rows(0, cut), lambda: parts.shared_rows(cut, m))
+    run_pair(lambda: half(1, deriv.cuu, 0, cut, tmp_a, acc_a),
+             lambda: half(-1, deriv.cvv, cut, m, tmp_b, acc_b))
     return deriv
 
 

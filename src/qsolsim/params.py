@@ -34,6 +34,14 @@ __all__ = [
 ]
 
 
+def _check_finite(obj, names) -> None:
+    """ValueError naming the first of the fields ``names`` that is NaN or +-inf."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {name}={value}")
+
+
 @dataclass(frozen=True)
 class PhysicalInputs:
     """Fiber and pulse parameters as set in the laboratory.
@@ -60,6 +68,7 @@ class PhysicalInputs:
     delta_omega: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self, ("t0", "D", "Gamma", "lambda_c", "T", "nbar", "delta_omega"))
         if not self.t0 > 0:
             raise ValueError(f"pulse width must be positive, got t0={self.t0}")
         if self.D == 0:
@@ -89,7 +98,8 @@ class ScaledParams:
     Only gamma_t, the signs, n0, n_th and delta_omega_t enter the dynamics.
     x_d is the dispersion length in meters; t_d is the dispersion time
     estimated with the vacuum speed of light standing in for the group
-    velocity (provenance only, never used numerically).
+    velocity (provenance only, never used numerically; NaN when the
+    parameters were given in scaled form).
     """
 
     gamma_t: float
@@ -103,6 +113,7 @@ class ScaledParams:
     x_d: float
 
     def __post_init__(self):
+        _check_finite(self, ("gamma_t", "n0", "nbar", "n_th", "delta_omega_t"))
         if self.n_th < 0:
             raise ValueError("reservoir occupation must be non-negative")
         if self.gamma_t < 0:

@@ -406,14 +406,17 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 def test_outputs_do_not_depend_on_blas_threads_or_cpus(tmp_path):
     # a small absorbing Kerr run in fresh interpreters: no BLAS thread
     # variable set (the package's default applies), one BLAS thread set
-    # explicitly, and one CPU in the affinity mask (the halves run inline)
+    # explicitly, empty BLAS variables (which BLAS reads as unset), and one
+    # CPU in the affinity mask (the halves run inline)
     base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     base["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     args = [sys.executable, "-m", "qsolsim.cli", "run", "--scenario", "intensity-weak-loss",
             "--override", "m=60", "--override", "t_end=0.1",
             "--override", "output_times=[0.05, 0.1]", "--out"]
     runs = {"no-blas-env": ([], base),
-            "one-blas-thread": ([], dict(base, OPENBLAS_NUM_THREADS="1"))}
+            "one-blas-thread": ([], dict(base, OPENBLAS_NUM_THREADS="1")),
+            "empty-blas-env": ([], dict(base, OPENBLAS_NUM_THREADS="", MKL_NUM_THREADS="",
+                                        BLIS_NUM_THREADS=""))}
     if shutil.which("taskset"):
         runs["one-cpu"] = (["taskset", "-c", "0"], base)
     for name, (prefix, env) in runs.items():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,22 @@ def random_state(m=7, s=0.3, boundary="absorbing", seed=5, scale=1.0):
         rng.normal(scale=scale, size=m), rng.normal(scale=scale, size=m),
         0.5 * (cuu + cuu.T), rng.normal(scale=scale, size=(m, m)),
         0.5 * (cvv + cvv.T),
+    )
+
+
+def exact_state(m, s, boundary):
+    """A state whose every entry is a small dyadic fraction, built with
+    integer arithmetic and exact divisions only (no exp/cosh, whose vector
+    paths may round differently between machines); cuu and cvv are exactly
+    symmetric."""
+    j = np.arange(m)
+    row, col = j[:, None], j[None, :]
+    return CumulantState(
+        GridSpec(m=m, dx=0.25, boundary=boundary), s, 0.0,
+        (j % 7 - 3) / 4, (j % 5 - 2) / 8,
+        ((row + col) % 9 - 4) / 8 + (row * col % 5) / 32,
+        ((3 * row + 7 * col) % 11 - 5) / 16,
+        ((row + col) % 6 - 2) / 16 - (row * col % 7) / 64,
     )
 
 
@@ -163,6 +181,41 @@ class TestStructuralInvariants:
         rhs(state, coeffs_for(state))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("boundary", ["absorbing", "periodic"])
+    @pytest.mark.parametrize("s", [-0.7, 0.0, 0.85])
+    @pytest.mark.parametrize("m", [1, 2, 7, 40, 41])
+    def test_uu_vv_blocks_are_the_term_by_term_mirror_blocks(self, boundary, s, m):
+        # rhs assembles uu/vv straight into its output, with no symmetrizing
+        # pass: each must equal mirror_block on fresh buffers bit for bit and
+        # be exactly symmetric for exactly symmetric input
+        state = random_state(m=m, s=s, boundary=boundary, seed=m, scale=2.0)
+        coeffs = coeffs_for(state)
+        deriv = rhs(state, coeffs)
+        hsum, rot_uv, mat, tmp, acc = np.full((5, m, m), np.nan)
+        parts = dynamics._SecondOrder(state, coeffs, dynamics._local_factors(state),
+                                      hsum, rot_uv)
+        parts.shared_rows(0, m)
+        for sign, block in ((1, deriv.cuu), (-1, deriv.cvv)):
+            parts.mirror_block(sign, mat, tmp, acc)
+            assert block.tobytes() == mat.tobytes()
+            assert block.tobytes() == block.T.copy().tobytes()
+
+    @pytest.mark.parametrize("boundary", ["absorbing", "periodic"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 13, 40, 41])
+    def test_propagated_covariances_stay_exactly_symmetric(self, boundary, m):
+        # rhs relies on it: at these m the constructors, reorder_s and every
+        # RK step keep cuu and cvv exactly symmetric, with Kerr coupling and
+        # a rotation (at some odd m from 193 up the stage gemv does not)
+        grid = GridSpec(m=m, dx=0.25, boundary=boundary)
+        state = reorder_s(fundamental_soliton(grid, 1e4, 1e-3, 0.0), 0.85)
+        coeffs = RHSCoefficients(d2=-8.0, chi_t=1e-2, gamma_t=0.05,
+                                 delta_omega_t=0.3, n_th=1e-3)
+        states, _ = propagate(state, coeffs, 0.05, output_times=[0.02, 0.05])
+        for st in (state, *states):
+            assert np.array_equal(st.cuu, st.cuu.T) and np.array_equal(st.cvv, st.cvv.T)
+        if m > 1:  # the run built off-diagonal covariances
+            assert np.any(np.triu(states[-1].cuu, 1)) and np.any(np.triu(states[-1].cvv, 1))
+
     def test_raw_asymmetry_is_roundoff(self):
         state = random_state(scale=3.0)
         assert second_order_asymmetry(state, coeffs_for(state)) < 1e-12
@@ -286,3 +339,38 @@ def test_matrix_stencils_match_the_roll_formula(boundary, m):
         assert lap(out) is out
         assert np.array_equal(out, ref)
         assert np.array_equal(lap(), ref)
+
+
+# sha256 prefixes of rhs(exact_state(m, s, boundary), EXACT_COEFFS).  The
+# inputs are exact, so a mismatch means rhs rounds differently: that moves
+# the eta outputs, which magnify round-off about 1e6-fold, past the 1e-9
+# check of the benchmark's stored references.
+EXACT_COEFFS = RHSCoefficients(d2=-3.125, chi_t=0.375, gamma_t=0.125,
+                               delta_omega_t=-0.75, n_th=0.25)
+RHS_DIGESTS = {
+    (1, "absorbing", -0.75): "941971558b319e81",
+    (1, "absorbing", 0.0): "3a475f7e0fe52f1f",
+    (1, "absorbing", 0.5): "4eb91dd5ea613ced",
+    (1, "periodic", -0.75): "49b63ac0a6acd4bc",
+    (1, "periodic", 0.0): "d1fb963385d95d16",
+    (1, "periodic", 0.5): "95bb414bb1dc4a7f",
+    (7, "absorbing", -0.75): "3abbbeb6696152a3",
+    (7, "absorbing", 0.0): "c8dc2f368e746c4a",
+    (7, "absorbing", 0.5): "fb92e831f0c72f59",
+    (7, "periodic", -0.75): "e4097facc4770071",
+    (7, "periodic", 0.0): "4fc7b009309fa08a",
+    (7, "periodic", 0.5): "bd1f9f01f2ea94bc",
+    (41, "absorbing", -0.75): "a6275e282501e6f3",
+    (41, "absorbing", 0.0): "a86a23961d0f2503",
+    (41, "absorbing", 0.5): "353f118ebe2ca7df",
+    (41, "periodic", -0.75): "47ef11273fc01692",
+    (41, "periodic", 0.0): "7fe4dd354056c622",
+    (41, "periodic", 0.5): "0e71152166df0034",
+}
+
+
+@pytest.mark.parametrize("m, boundary, s", sorted(RHS_DIGESTS))
+def test_rhs_bits_on_exact_states_are_pinned(m, boundary, s):
+    deriv = rhs(exact_state(m, s, boundary), EXACT_COEFFS).flatten()
+    digest = hashlib.sha256(deriv.astype("<f8").tobytes()).hexdigest()[:16]
+    assert digest == RHS_DIGESTS[m, boundary, s]

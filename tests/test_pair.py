@@ -1,10 +1,12 @@
 """The two-half fork/join: same bits inline and threaded, and a worker half
 behaves like code on the calling thread (exceptions, numpy error state)."""
 
+import functools
 import os
 import signal
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -73,6 +75,17 @@ def test_exception_in_a_waits_for_b(monkeypatch):
     with pytest.raises(KeyError):
         _pair.run_pair(a, b)
     assert finished == [True]
+
+
+def test_worker_keeps_nothing_of_a_finished_job(monkeypatch):
+    # the closure of a finished b (here: the array it captured) must be
+    # freed when run_pair returns, not when the next job arrives
+    monkeypatch.setattr(_pair, "_cpu_count", lambda: 2)
+    payload = np.ones(8)
+    captured = weakref.ref(payload)
+    _pair.run_pair(lambda: None, functools.partial(np.sum, payload))
+    del payload
+    assert captured() is None
 
 
 def test_worker_half_runs_under_the_callers_errstate(cpus):

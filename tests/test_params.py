@@ -9,6 +9,7 @@ from qsolsim.params import (
     HBAR,
     K_BOLTZMANN,
     PhysicalInputs,
+    ScaledParams,
     derive_scales,
     gaussian_validity_ratio,
     rhs_coefficients,
@@ -94,6 +95,25 @@ class TestDeriveScales:
             PhysicalInputs(t0=t0, D=20.0 / factor, Gamma=gamma), GRID)
         assert weaker_dispersion.x_d == pytest.approx(factor * base.x_d, rel=1e-9)
         assert weaker_dispersion.gamma_t == pytest.approx(factor * base.gamma_t, rel=1e-9)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["t0", "D", "Gamma", "lambda_c", "T", "nbar", "delta_omega"])
+def test_physical_inputs_reject_non_finite(name, value):
+    kwargs = dict(t0=2e-12, D=20.0, Gamma=0.3, lambda_c=1.5e-6, T=300.0)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        PhysicalInputs(**{**kwargs, name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["gamma_t", "n0", "nbar", "n_th", "delta_omega_t"])
+def test_scaled_params_reject_non_finite(name, value):
+    # t_d and x_d are provenance only: scaled-mode configs leave them NaN
+    kwargs = dict(gamma_t=0.1, disp_sign=-1, chi_sign=1, n0=1e8, nbar=1e9, n_th=0.0,
+                  delta_omega_t=0.0, t_d=math.nan, x_d=math.nan)
+    ScaledParams(**kwargs)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        ScaledParams(**{**kwargs, name: value})
 
 
 class TestRHSCoefficients:
