@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._checks import finite
 from .dynamics import RHSCoefficients, propagate
 from .integrator import IntegrationError, StepControl
 from .observables import (
@@ -161,7 +162,7 @@ def _resolve(cfg: dict) -> RunConfig:
     for key in members:
         _get(members, key, None, _NUMBER, "a number",
              lambda v: "sign_" not in key or v in (-1, 1), "must be +1 or -1")
-    n_th = _get(cfg, "n_th", None, _NUMBER, "a number", lambda v: v >= 0, "must be non-negative")
+    n_th = _get(cfg, "n_th", None, _NUMBER, "a number")
 
     if mode == "physical":
         scaled = derive_scales(PhysicalInputs(**block), grid, n_th=n_th)
@@ -297,17 +298,17 @@ def load_state(path) -> CumulantState:
     try:
         with open(path, "rb") as fh:
             rec = np.load(fh, allow_pickle=False)
-    except (ValueError, EOFError) as exc:  # not .npy, pickled, or truncated
+        if not (isinstance(rec, np.ndarray) and rec.shape == ()
+                and rec.dtype.names == _state_dtype(1).names
+                and rec["format"] == _STATE_TAG
+                and rec.dtype == _state_dtype(int(rec["m"]))):
+            raise ValueError("not a state record")
+        grid = GridSpec(m=int(rec["m"]), dx=float(rec["dx"]),
+                        boundary=rec["boundary"].item().decode("ascii"))
+        blocks = [finite(name, rec[name]) for name in ("cu", "cv", "cuu", "cuv", "cvv")]
+        return CumulantState(grid, float(rec["s"]), float(rec["t"]), *blocks)
+    except (ValueError, EOFError) as exc:  # not .npy, pickled, truncated, or corrupt (NaN/inf too)
         raise ValueError(f"{path}: not a state snapshot") from exc
-    if not (isinstance(rec, np.ndarray) and rec.shape == ()
-            and rec.dtype.names == _state_dtype(1).names
-            and rec["format"] == _STATE_TAG
-            and rec.dtype == _state_dtype(int(rec["m"]))):
-        raise ValueError(f"{path}: not a state snapshot")
-    grid = GridSpec(m=int(rec["m"]), dx=float(rec["dx"]),
-                    boundary=rec["boundary"].item().decode("ascii"))
-    return CumulantState(grid, float(rec["s"]), float(rec["t"]), rec["cu"], rec["cv"],
-                         rec["cuu"], rec["cuv"], rec["cvv"])
 
 
 def _write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:

@@ -43,11 +43,11 @@ derivation from the phase-space generator is run in the tests as well.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import finite, non_negative
 from ._pair import run_pair
 from .integrator import StepControl, integrate
 from .observables import intensity
@@ -81,13 +81,11 @@ class RHSCoefficients:
     n_th: float
 
     def __post_init__(self):
-        for name in ("d2", "chi_t", "gamma_t", "delta_omega_t", "n_th"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.gamma_t < 0:
-            raise ValueError("damping must be non-negative")
-        if self.n_th < 0:
-            raise ValueError("reservoir occupation must be non-negative")
+        finite("d2", self.d2)
+        finite("chi_t", self.chi_t)
+        non_negative("gamma_t", self.gamma_t)
+        finite("delta_omega_t", self.delta_omega_t)
+        non_negative("n_th", self.n_th)
 
     def thermal_src(self, s: float) -> float:
         """Noise injection rate gamma_t * (n_th + (1-s)/2) at ordering s."""

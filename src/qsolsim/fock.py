@@ -32,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import finite, non_negative
 from .dynamics import RHSCoefficients, lap_rows, propagate
 from .integrator import StepControl, integrate
-from .state import CumulantState, GridSpec, thermal_state
+from .state import CumulantState, GridSpec, _ordering, thermal_state
 
 __all__ = [
     "FockConfig",
@@ -81,8 +82,9 @@ class FockConfig:
             raise ValueError("exact evolution supports 1 or 2 modes")
         if self.cutoff < 2:
             raise ValueError("cutoff must hold at least two levels")
-        if self.gamma_t < 0 or self.n_th < 0:
-            raise ValueError("damping and occupation must be non-negative")
+        self.grid()  # GridSpec and RHSCoefficients own the rules of the floats
+        self.coefficients()
+        _ordering(self.s)
 
     @property
     def dim(self) -> int:
@@ -128,7 +130,7 @@ def hamiltonian(config: FockConfig) -> np.ndarray:
 
 def coherent_vector(cutoff: int, alpha: complex) -> np.ndarray:
     """Coherent-state amplitudes, renormalized after truncation."""
-    if alpha == 0:
+    if finite("alpha", alpha) == 0:
         amp = np.zeros(cutoff, dtype=complex)
         amp[0] = 1.0
         return amp
@@ -147,19 +149,18 @@ def _unitary(gen: np.ndarray) -> np.ndarray:
 def displacement_operator(cutoff: int, alpha: complex) -> np.ndarray:
     """exp(alpha a+ - alpha* a)."""
     a = destroy(cutoff)
-    return _unitary(alpha * a.conj().T - np.conj(alpha) * a)
+    return _unitary(finite("alpha", alpha) * a.conj().T - np.conj(alpha) * a)
 
 
 def squeeze_operator(cutoff: int, zeta: complex) -> np.ndarray:
     """exp((zeta* a^2 - zeta a+^2)/2)."""
     a = destroy(cutoff)
-    return _unitary(0.5 * (np.conj(zeta) * (a @ a) - zeta * (a.conj().T @ a.conj().T)))
+    return _unitary(0.5 * (np.conj(finite("zeta", zeta)) * (a @ a)
+                           - zeta * (a.conj().T @ a.conj().T)))
 
 
 def thermal_density(cutoff: int, n: float) -> np.ndarray:
-    if n < 0:
-        raise ValueError("thermal occupation must be non-negative")
-    if n == 0:
+    if non_negative("n", n) == 0:
         rho = np.zeros((cutoff, cutoff), dtype=complex)
         rho[0, 0] = 1.0
         return rho
@@ -255,7 +256,7 @@ def evolve_density(config: FockConfig, rho0: np.ndarray, t_grid,
     dim = config.dim
     if rho0.shape != (dim, dim):
         raise ValueError(f"density matrix must be {dim} x {dim}")
-    tr = complex(np.trace(rho0)).real
+    tr = complex(np.trace(finite("rho0", rho0))).real
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"initial state must have unit trace, got {tr}")
     rhs_rho = _liouvillian(config)
@@ -263,7 +264,7 @@ def evolve_density(config: FockConfig, rho0: np.ndarray, t_grid,
     def fun(t, y, out):
         out[:] = rhs_rho(y.reshape(dim, dim)).ravel()
 
-    t_grid = [float(t) for t in t_grid]
+    t_grid = finite("t_grid", [float(t) for t in t_grid])
     outputs = []
     integrate(fun, rho0.astype(complex).ravel(), 0.0, max(t_grid),
               control=control or _CONTROL, output_times=t_grid,
@@ -292,8 +293,8 @@ def cumulants_from_density(config: FockConfig, rho: np.ndarray,
     enters only through the (1 - s)/2 commutator share on equal-mode
     quadrature variances.
     """
-    if s is None:
-        s = config.s
+    s = config.s if s is None else _ordering(s)
+    finite("rho", rho)
     ops = mode_operators(config)
     m = config.modes
     means = np.array([np.trace(rho @ a) for a in ops])
@@ -316,7 +317,7 @@ def matching_initial_state(config: FockConfig, kind: str, alphas=None,
     """Gaussian cumulant state with the same moments as initial_density."""
     if alphas is None:
         alphas = [0.0] * config.modes
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
+    alphas = finite("alphas", np.atleast_1d(np.asarray(alphas, dtype=complex)))
     base = thermal_state(config.grid(), n if kind != "coherent" else 0.0, config.s)
     if kind == "thermal":
         return base
@@ -386,7 +387,8 @@ def closure_gap(config: FockConfig, kind: str, t_grid, alphas=None, n: float = 0
 
 def damped_mean(alpha: complex, gamma_t: float, delta_omega_t: float, t: float) -> complex:
     """Mean amplitude of the damped harmonic mode (no Kerr)."""
-    return alpha * np.exp(-(gamma_t + 1j * delta_omega_t) * t)
+    rate = finite("gamma_t", gamma_t) + 1j * finite("delta_omega_t", delta_omega_t)
+    return finite("alpha", alpha) * np.exp(-rate * finite("t", t))
 
 
 def kerr_mean(alpha: complex, chi_t: float, t: float) -> complex:
@@ -400,4 +402,5 @@ def kerr_mean(alpha: complex, chi_t: float, t: float) -> complex:
 
     Verified against direct density-matrix evolution in the test suite.
     """
-    return alpha * np.exp(abs(alpha) ** 2 * (np.exp(-1j * chi_t * t) - 1.0))
+    phase = np.exp(-1j * finite("chi_t", chi_t) * finite("t", t))
+    return finite("alpha", alpha) * np.exp(abs(alpha) ** 2 * (phase - 1.0))

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import finite, positive
 from ._pair import run_pair
 from .tableaus import DORMAND_PRINCE_853, Tableau
 
@@ -77,8 +78,8 @@ class StepControl:
     rtol: float = 1e-9
 
     def __post_init__(self):
-        if not (0 < self.atol < math.inf and 0 < self.rtol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+        positive("atol", self.atol)
+        positive("rtol", self.rtol)
 
 
 @dataclass
@@ -224,13 +225,13 @@ def _error_norm(h, tab: Tableau, buf: _Buffers) -> float:
 
 
 def _all_finite(y: np.ndarray) -> bool:
-    finite = {}
+    ok = {}
 
     def check(lo, hi):
-        finite[lo] = bool(np.isfinite(y[lo:hi]).all())
+        ok[lo] = bool(np.isfinite(y[lo:hi]).all())
 
     _split(y.size, check)
-    return all(finite.values())
+    return all(ok.values())
 
 
 def step(fun, t: float, y: np.ndarray, h: float, tableau: Tableau,
@@ -248,10 +249,10 @@ def step(fun, t: float, y: np.ndarray, h: float, tableau: Tableau,
     a failed attempt comes back with ``accepted=False`` and a reduced
     ``h_next`` for the caller to retry.
     """
-    if not h > 0:
-        raise ValueError("step size must be positive")
-    if buffers is None:
-        buffers = _Buffers(y, tableau)
+    finite("t", t)
+    positive("h", h)
+    if buffers is None:  # y comes from the caller; integrate checks its own
+        buffers = _Buffers(finite("y", y), tableau)
         fun(t, y, buffers.k[0])
         if stats is not None:
             stats.n_rhs += 1
@@ -297,7 +298,7 @@ def _initial_step(fun, t0, y0, f0, t_end, tab, control, stats) -> float:
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
-    if h0 == 0.0:  # d1 overflowed; integrate falls back to a tiny first step
+    if not h0 > 0.0:  # 0 or NaN: d1 overflowed; integrate falls back to a tiny step
         return h0
     y1 = y0 + h0 * f0
     f1 = np.empty_like(f0)
@@ -331,11 +332,9 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
     array that later steps overwrite, so an observer that keeps it must copy
     it.  The step size resumes its adaptive suggestion after a clipped step.
     """
-    if not (math.isfinite(t0) and math.isfinite(t_end)):
-        raise ValueError("t0 and t_end must be finite")
-    if t_end < t0:
+    if finite("t_end", t_end) < finite("t0", t0):
         raise ValueError("t_end must not precede t0")
-    y = np.array(y0, dtype=None, copy=True)
+    y = finite("y0", np.array(y0, dtype=None, copy=True))
     if y.ndim != 1:
         raise ValueError("state must be a flat vector")
     stats = StepStats()
@@ -401,8 +400,8 @@ def integrate_fixed(fun, y0: np.ndarray, t0: float, t_end: float, n_steps: int,
     """Fixed-step solve (no error control); used for convergence studies."""
     if n_steps < 1:
         raise ValueError("need at least one step")
-    y = np.array(y0, copy=True)
-    h = (t_end - t0) / n_steps
+    y = finite("y0", np.array(y0, copy=True))
+    h = (finite("t_end", t_end) - finite("t0", t0)) / n_steps
     t = t0
     buffers = _Buffers(y, tableau)
     fun(t, y, buffers.k[0])

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import finite
 from .state import CumulantState, GridSpec, _local_noise
 
 OMEGA_UNIT = 2.0  # one w0 in inverse pulse-width units
@@ -56,9 +57,9 @@ class LOPulse:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or not np.all(np.isfinite(amps)):
-            raise ValueError("LO amplitudes must be a vector of finite numbers")
+        amps = finite("amplitudes", np.asarray(self.amplitudes, dtype=complex))
+        if amps.ndim != 1:
+            raise ValueError("LO amplitudes must be a vector")
         if not np.any(amps):
             raise ValueError("local oscillator must not vanish identically")
         object.__setattr__(self, "amplitudes", amps)
@@ -156,11 +157,10 @@ def min_delta_omega(grid: GridSpec) -> float:
 
 
 def _omega_internal(grid: GridSpec, omega_w0) -> np.ndarray:
-    omega = np.atleast_1d(np.asarray(omega_w0, dtype=float)) * OMEGA_UNIT
+    omega = finite("omega_w0", np.atleast_1d(np.asarray(omega_w0, dtype=float))) * OMEGA_UNIT
     bound = math.pi / grid.dx
-    if not np.all(np.abs(omega) <= bound * (1.0 + 1e-12)):  # NaN fails the comparison too
-        raise ValueError(
-            f"frequency not finite or beyond the sampling bound {bound / OMEGA_UNIT:g} w0")
+    if not np.all(np.abs(omega) <= bound * (1.0 + 1e-12)):
+        raise ValueError(f"frequency beyond the sampling bound {bound / OMEGA_UNIT:g} w0")
     return omega
 
 
@@ -192,9 +192,9 @@ def squeezing_spectrum(state: CumulantState, lo: LOPulse, omega_w0,
     """
     if lo.amplitudes.shape != (state.grid.m,):
         raise ValueError("LO length must match the grid")
-    optimal = isinstance(phase, str)
-    if (phase != "optimal") if optimal else not math.isfinite(phase):
-        raise ValueError(f"phase must be a finite float or 'optimal', got {phase!r}")
+    optimal = phase == "optimal"
+    if not optimal:  # a string other than "optimal" raises TypeError here
+        finite("phase", phase)
     omega = _omega_internal(state.grid, omega_w0)
     x = state.grid.positions()
     k_f, k_g = _kernels(state)
@@ -237,8 +237,8 @@ def photon_correlation(state: CumulantState, omega_w0,
     d_min = min_delta_omega(grid)
     if delta_omega is None:
         delta_omega = d_min
-    if not (math.isfinite(delta_omega) and delta_omega >= d_min * (1.0 - 1e-9)):
-        raise ValueError(f"window {delta_omega:g} not finite or below the minimal "
+    if not finite("delta_omega", delta_omega) >= d_min * (1.0 - 1e-9):
+        raise ValueError(f"window {delta_omega:g} below the minimal "
                          f"resolvable {d_min:g} (w0 units)")
     omega = _omega_internal(grid, omega_w0)
     d_omega_int = delta_omega * OMEGA_UNIT

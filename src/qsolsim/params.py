@@ -17,6 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from ._checks import finite, non_negative, positive
 from .dynamics import RHSCoefficients
 from .state import GridSpec
 
@@ -34,12 +35,11 @@ __all__ = [
 ]
 
 
-def _check_finite(obj, names) -> None:
-    """ValueError naming the first of the fields ``names`` that is NaN or +-inf."""
-    for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {name}={value}")
+def _check_signs(**signs) -> None:
+    """The sign rule of both parameter classes."""
+    for name, value in signs.items():
+        if value not in (-1, 1):
+            raise ValueError(f"{name} must be +1 or -1, got {name}={value}")
 
 
 @dataclass(frozen=True)
@@ -68,21 +68,15 @@ class PhysicalInputs:
     delta_omega: float = 0.0
 
     def __post_init__(self):
-        _check_finite(self, ("t0", "D", "Gamma", "lambda_c", "T", "nbar", "delta_omega"))
-        if not self.t0 > 0:
-            raise ValueError(f"pulse width must be positive, got t0={self.t0}")
-        if self.D == 0:
+        positive("t0", self.t0)
+        if finite("D", self.D) == 0:
             raise ValueError("dispersive parameter D = 0 gives an infinite dispersion length")
-        if not self.nbar > 0:
-            raise ValueError(f"photon scale must be positive, got nbar={self.nbar}")
-        if not self.lambda_c > 0:
-            raise ValueError(f"wavelength must be positive, got lambda_c={self.lambda_c}")
-        if self.T < 0:
-            raise ValueError(f"temperature must be non-negative, got T={self.T}")
-        if self.Gamma < 0:
-            raise ValueError(f"loss must be non-negative, got Gamma={self.Gamma}")
-        if self.sign_chi not in (-1, 1) or self.sign_omega2 not in (-1, 1):
-            raise ValueError("sign_chi and sign_omega2 must be +1 or -1")
+        non_negative("Gamma", self.Gamma)
+        positive("lambda_c", self.lambda_c)
+        non_negative("T", self.T)
+        positive("nbar", self.nbar)
+        _check_signs(sign_chi=self.sign_chi, sign_omega2=self.sign_omega2)
+        finite("delta_omega", self.delta_omega)
         if self.sign_chi * self.sign_omega2 >= 0:
             warnings.warn(
                 "sign(chi) * sign(omega2) >= 0: dispersion and self-phase modulation "
@@ -113,13 +107,12 @@ class ScaledParams:
     x_d: float
 
     def __post_init__(self):
-        _check_finite(self, ("gamma_t", "n0", "nbar", "n_th", "delta_omega_t"))
-        if self.n_th < 0:
-            raise ValueError("reservoir occupation must be non-negative")
-        if self.gamma_t < 0:
-            raise ValueError("scaled damping must be non-negative")
-        if not self.n0 > 0:
-            raise ValueError("photons per cell must be positive")
+        non_negative("gamma_t", self.gamma_t)
+        _check_signs(disp_sign=self.disp_sign, chi_sign=self.chi_sign)
+        positive("n0", self.n0)
+        positive("nbar", self.nbar)
+        non_negative("n_th", self.n_th)
+        finite("delta_omega_t", self.delta_omega_t)
 
 
 def thermal_occupation(lambda_c: float, T: float) -> float:
@@ -128,11 +121,8 @@ def thermal_occupation(lambda_c: float, T: float) -> float:
     N_th = 1 / (exp(hbar * omega_c / (k_B T)) - 1) with omega_c = 2 pi c / lambda_c.
     The T = 0 limit returns exactly 0.
     """
-    if not lambda_c > 0:
-        raise ValueError("wavelength must be positive")
-    if T < 0:
-        raise ValueError("temperature must be non-negative")
-    if T == 0.0:
+    positive("lambda_c", lambda_c)
+    if non_negative("T", T) == 0.0:
         return 0.0
     x = HBAR * 2.0 * math.pi * C_LIGHT / (lambda_c * K_BOLTZMANN * T)
     if x > 700.0:  # exp would overflow; occupation is numerically zero

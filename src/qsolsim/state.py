@@ -26,6 +26,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._checks import finite, non_negative, positive
+
 _BOUNDARIES = ("absorbing", "periodic")
 
 # ``validate`` flags a relative uu/vv asymmetry above the first and an
@@ -50,14 +52,20 @@ class GridSpec:
     def __post_init__(self):
         if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral) or self.m < 1:
             raise ValueError(f"grid needs a positive integer cell count, got m={self.m!r}")
-        if not (self.dx > 0 and math.isfinite(self.dx)):
-            raise ValueError(f"cell width must be positive and finite, got dx={self.dx}")
+        positive("dx", self.dx)
         if self.boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}, got {self.boundary!r}")
 
     def positions(self) -> np.ndarray:
         """Cell centers x_j = dx * (j - floor(m/2))."""
         return self.dx * (np.arange(self.m) - self.m // 2)
+
+
+def _ordering(s: float) -> float:
+    """The range rule of the ordering parameter s."""
+    if not -1.0 <= s <= 1.0:
+        raise ValueError(f"ordering parameter must lie in [-1, 1], got s={s}")
+    return s
 
 
 def split_flat(vec: np.ndarray, m: int):
@@ -89,17 +97,13 @@ class CumulantState:
 
     def __post_init__(self):
         m = self.grid.m
-        if not (-1.0 <= self.s <= 1.0):
-            raise ValueError(f"ordering parameter must lie in [-1, 1], got s={self.s}")
-        for name in ("cu", "cv"):
+        _ordering(self.s)
+        finite("t", self.t)
+        for name, shape in (("cu", (m,)), ("cv", (m,)),
+                            ("cuu", (m, m)), ("cuv", (m, m)), ("cvv", (m, m))):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (m,):
-                raise ValueError(f"{name} must have shape ({m},), got {arr.shape}")
-            object.__setattr__(self, name, arr)
-        for name in ("cuu", "cuv", "cvv"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (m, m):
-                raise ValueError(f"{name} must have shape ({m}, {m}), got {arr.shape}")
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             object.__setattr__(self, name, arr)
 
     # -- flattened layout used by the ODE integrator ------------------------
@@ -132,10 +136,8 @@ def thermal_state(grid: GridSpec, n_th: float, s: float) -> CumulantState:
 
     Zero means, cuu = cvv = [n_th + (1-s)/2] / 2 on the diagonal, cuv = 0.
     """
-    if n_th < 0:
-        raise ValueError(f"reservoir occupation must be non-negative, got {n_th}")
     m = grid.m
-    diag = 0.5 * (n_th + 0.5 * (1.0 - s))
+    diag = 0.5 * (non_negative("n_th", n_th) + 0.5 * (1.0 - _ordering(s)))
     return CumulantState(
         grid, s, 0.0,
         np.zeros(m), np.zeros(m),
@@ -148,10 +150,8 @@ def fundamental_soliton(grid: GridSpec, n0: float, n_th: float, s: float) -> Cum
 
     cu_j = sqrt(n0) * sech(x_j), cv = 0; second-order blocks as thermal_state.
     """
-    if not n0 > 0:
-        raise ValueError(f"photons per cell scale must be positive, got n0={n0}")
     base = thermal_state(grid, n_th, s)
-    cu = math.sqrt(n0) / np.cosh(grid.positions())
+    cu = math.sqrt(positive("n0", n0)) / np.cosh(grid.positions())
     return replace(base, cu=cu)
 
 
@@ -160,9 +160,7 @@ def reorder_s(state: CumulantState, s_new: float) -> CumulantState:
 
     Only the diagonals of cuu and cvv move: they pick up -(s_new - s)/4.
     """
-    if not (-1.0 <= s_new <= 1.0):
-        raise ValueError(f"ordering parameter must lie in [-1, 1], got {s_new}")
-    shift = 0.25 * (s_new - state.s)
+    shift = 0.25 * (_ordering(s_new) - state.s)
     eye = np.eye(state.grid.m)
     return CumulantState(
         state.grid, s_new, state.t,
@@ -210,11 +208,11 @@ def validate(state: CumulantState) -> ValidationReport:
     combinations B + s/4, b + s/4 are ordering-independent.
     """
     issues = []
-    finite = all(
+    all_finite = all(
         np.all(np.isfinite(arr))
         for arr in (state.cu, state.cv, state.cuu, state.cuv, state.cvv)
     )
-    if not finite:
+    if not all_finite:
         issues.append("non-finite entries")
 
     def rel_asym(mat):
@@ -229,12 +227,12 @@ def validate(state: CumulantState) -> ValidationReport:
         issues.append(f"cvv asymmetry {asym_vv:.3e}")
 
     *_, big, small = _local_noise(state)  # B + s/4, b + s/4
-    min_big = float(np.min(big)) if finite else math.nan
-    min_small = float(np.min(small)) if finite else math.nan
-    if finite and (min_big <= 0 or min_small <= 0):
+    min_big = float(np.min(big)) if all_finite else math.nan
+    min_small = float(np.min(small)) if all_finite else math.nan
+    if all_finite and (min_big <= 0 or min_small <= 0):
         issues.append("non-positive noise ellipse axis (unphysical state)")
         product = -math.inf
-    elif finite:
+    elif all_finite:
         product = float(np.min(np.sqrt(big * small)))
         if product < 0.25 - _HEISENBERG_TOL:
             issues.append(f"uncertainty product {product:.6f} below 1/4")
@@ -242,7 +240,7 @@ def validate(state: CumulantState) -> ValidationReport:
         product = math.nan
 
     return ValidationReport(
-        finite=finite,
+        finite=all_finite,
         cuu_asymmetry=asym_uu,
         cvv_asymmetry=asym_vv,
         min_major_axis=min_big,

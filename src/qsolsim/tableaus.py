@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import finite
+
 __all__ = ["Tableau", "DORMAND_PRINCE_853", "DORMAND_PRINCE_54", "TABLEAUS"]
 
 
@@ -44,10 +46,8 @@ class Tableau:
     error_weights_low: np.ndarray | None = None
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        e = np.asarray(self.error_weights, dtype=float)
+        names = ("a", "b", "c", "error_weights")
+        a, b, c, e = (finite(n, np.asarray(getattr(self, n), dtype=float)) for n in names)
         ns = b.size
         if a.shape != (ns, ns):
             raise ValueError("stage matrix must be square and match b")
@@ -60,14 +60,12 @@ class Tableau:
         if e.shape != (ns + 1,):
             raise ValueError("error weights must cover all stages plus the new point")
         if self.error_weights_low is not None:
-            elow = np.asarray(self.error_weights_low, dtype=float)
+            elow = finite("error_weights_low", np.asarray(self.error_weights_low, dtype=float))
             if elow.shape != (ns + 1,):
                 raise ValueError("low-order error weights must match error weights")
             object.__setattr__(self, "error_weights_low", elow)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "error_weights", e)
+        for name, arr in zip(names, (a, b, c, e)):
+            object.__setattr__(self, name, arr)
 
     @property
     def n_stages(self) -> int:

@@ -222,6 +222,12 @@ class TestArtifacts:
         pickled = tmp_path / "pickled.npy"
         np.save(pickled, np.array([{"format": "qsolsim-state-v2"}], dtype=object),
                 allow_pickle=True)
+        corrupt = []  # non-finite values, which run never writes
+        for field, bad in (("cuu", math.nan), ("cv", math.inf), ("t", -math.inf)):
+            rec = np.load(good)
+            rec[field].flat[-1] = bad
+            corrupt.append(tmp_path / f"corrupt_{field}.npy")
+            np.save(corrupt[-1], rec)
         data = good.read_bytes()
         truncated = []
         for size in (0, 10, 100, len(data) - 8):
@@ -234,7 +240,7 @@ class TestArtifacts:
 
         monkeypatch.setattr("pickle.load", no_unpickling)
         monkeypatch.setattr("pickle.loads", no_unpickling)
-        for path in (plain, wrong_tag, old_json, pickled, *truncated):
+        for path in (plain, wrong_tag, old_json, pickled, *corrupt, *truncated):
             with pytest.raises(ValueError, match="not a state snapshot"):
                 load_state(path)
         assert np.array_equal(load_state(good).cuu, state.cuu)

@@ -316,29 +316,54 @@ def test_lap_rows_on_a_vector():
     assert np.allclose(periodic, [4.0, 1.0, -5.0])
 
 
+def roll_lap(mat, axis, boundary):
+    """-2 f + (f(j-1) + f(j+1)) with np.roll (periodic), or with the
+    out-of-range neighbours left out (absorbing): the stencils' reference."""
+    ref = -2.0 * mat
+    if boundary == "periodic":
+        ref += np.roll(mat, 1, axis=axis) + np.roll(mat, -1, axis=axis)
+    else:
+        lo, hi = [slice(None)] * 2, [slice(None)] * 2
+        lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+        ref[tuple(lo)] += mat[tuple(hi)]
+        ref[tuple(hi)] += mat[tuple(lo)]
+    return ref
+
+
 @pytest.mark.parametrize("boundary", ["absorbing", "periodic"])
 @pytest.mark.parametrize("m", [1, 2, 3, 9])
 def test_matrix_stencils_match_the_roll_formula(boundary, m):
-    # the reference evaluates -2 f + (f(j-1) + f(j+1)) with np.roll; the
-    # buffered stencils must give the same bits, written into ``out``
+    # the buffered stencils must give the reference's bits, written into ``out``
     mat = np.random.default_rng(m).normal(size=(m, m))
 
     def lap(out=None):
         return lap_rows(mat, boundary, out) if axis == 0 else dynamics._lap(mat, 1, boundary, out)
 
     for axis in (0, 1):
-        ref = -2.0 * mat
-        if boundary == "periodic":
-            ref += np.roll(mat, 1, axis=axis) + np.roll(mat, -1, axis=axis)
-        else:
-            lo, hi = [slice(None)] * 2, [slice(None)] * 2
-            lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-            ref[tuple(lo)] += mat[tuple(hi)]
-            ref[tuple(hi)] += mat[tuple(lo)]
+        ref = roll_lap(mat, axis, boundary)
         out = np.full((m, m), np.nan)
         assert lap(out) is out
         assert np.array_equal(out, ref)
         assert np.array_equal(lap(), ref)
+
+
+@pytest.mark.parametrize("boundary", ["absorbing", "periodic"])
+@pytest.mark.parametrize("m", [1, 2, 3, 9])
+def test_stencil_row_range_writes_exactly_those_rows(boundary, m):
+    # rhs splits the stencils into row ranges; each range must carry the
+    # reference's bits and leave every other entry of ``out`` untouched
+    mat = np.random.default_rng(m + 10).normal(size=(m, m))
+    for axis in (0, 1):
+        ref = roll_lap(mat, axis, boundary)
+        for lo in range(m):
+            for hi in range(lo + 1, m + 1):
+                span = [slice(None)] * 2
+                span[axis] = slice(lo, hi)
+                expected = np.full((m, m), np.nan)
+                expected[tuple(span)] = ref[tuple(span)]
+                out = np.full((m, m), np.nan)
+                assert dynamics._lap(mat, axis, boundary, out, lo=lo, hi=hi) is out
+                assert np.array_equal(out, expected, equal_nan=True), (axis, lo, hi)
 
 
 # sha256 prefixes of rhs(exact_state(m, s, boundary), EXACT_COEFFS).  The

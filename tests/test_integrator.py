@@ -162,6 +162,21 @@ class TestIntegrate:
                       control=StepControl(atol=1e-10, rtol=1e-10))
         assert err.value.t <= 0.5 + 1e-6
 
+    def test_initial_step_never_evaluates_a_non_finite_point(self):
+        # at atol = rtol = 1e-300 both scaled norms of the starting-step
+        # estimate overflow, so it is inf / inf = NaN; integrate must fall
+        # back to a tiny first step before fun ever sees t0 + NaN
+        finite = []
+
+        def fun(t, y, out):
+            finite.append(math.isfinite(t) and bool(np.isfinite(y).all()))
+            np.negative(y, out=out)
+
+        with pytest.raises(IntegrationError):
+            integrate(fun, np.arange(1.0, 5.0), 0.0, 1.0,
+                      control=StepControl(atol=1e-300, rtol=1e-300))
+        assert len(finite) > 2 and all(finite)
+
     def test_consecutive_rejections_abort_with_time(self):
         # the derivative is NaN away from t = 0, so every trial step fails
         # its error test without the state ever advancing

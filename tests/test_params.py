@@ -116,6 +116,16 @@ def test_scaled_params_reject_non_finite(name, value):
         ScaledParams(**{**kwargs, name: value})
 
 
+@pytest.mark.parametrize("value", [0, 2, -0.5, math.nan])
+@pytest.mark.parametrize("name", ["disp_sign", "chi_sign"])
+def test_scaled_params_reject_signs_other_than_unit(name, value):
+    # a zero sign would silently switch off dispersion or the Kerr term
+    kwargs = dict(gamma_t=0.1, disp_sign=-1, chi_sign=1, n0=1e8, nbar=1e9, n_th=0.0,
+                  delta_omega_t=0.0, t_d=math.nan, x_d=math.nan)
+    with pytest.raises(ValueError, match=f"^{name} must be \\+1 or -1"):
+        ScaledParams(**{**kwargs, name: value})
+
+
 class TestRHSCoefficients:
     def test_paper_cell_scale(self):
         scaled = derive_scales(paper_inputs(), GRID, n_th=1e-16)
