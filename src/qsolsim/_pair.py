@@ -1,4 +1,5 @@
-"""Fork/join of two fixed halves of work on one helper thread.
+"""How the process uses its CPUs: two halves of a step on a helper thread, and
+a whole second computation in a forked child.
 
 ``run_pair(a, b)`` runs ``a()`` on the calling thread and ``b()`` on a daemon
 worker, and returns once both are done.  The halves are chosen by the caller
@@ -10,6 +11,12 @@ than two CPUs in the process's affinity mask both halves run inline.
 The worker starts on the first call, never at import, and is started again
 in a child process after ``fork``.  Halves must not call ``run_pair``
 themselves.
+
+``run_forked(fn)`` starts ``fn()`` in a forked child process that runs beside
+the caller, and returns a handle whose ``join()`` gives the child's result.
+It forks only where that overlaps safely: two or more CPUs, no thread but
+the calling one, and a ``fork`` start method.  Otherwise ``fn`` runs inline,
+inside ``join()``.
 """
 
 from __future__ import annotations
@@ -20,11 +27,13 @@ import threading
 
 import numpy as np
 
-__all__ = ["run_pair"]
+__all__ = ["run_pair", "run_forked"]
 
 
 def _cpu_count() -> int:
-    return len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class _Job:
@@ -85,3 +94,87 @@ def run_pair(a, b) -> None:
         job.done.acquire()
     if job.error is not None:
         raise job.error
+
+
+def _fork_context():
+    """The ``fork`` multiprocessing context, or None where forking could not overlap
+    or is unsafe: one CPU, another thread running (its locks would be copied held),
+    or no ``fork`` start method."""
+    if _cpu_count() < 2 or threading.active_count() != 1:
+        return None
+    import multiprocessing  # only s-pair runs pay for this import
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _send_outcome(fn, conn) -> None:
+    """Child side: send ``(True, fn())`` or ``(False, exception)``."""
+    try:
+        outcome = (True, fn())
+    except BaseException as exc:  # re-raised by the parent's join()
+        outcome = (False, exc)
+    with conn:
+        conn.send(outcome)
+
+
+class Forked:
+    """Handle of a computation started by ``run_forked``: inline when ``proc`` is None."""
+
+    def __init__(self, fn, proc=None, conn=None):
+        self._fn, self._proc, self._conn = fn, proc, conn
+
+    def join(self):
+        """Return ``fn()``'s result or raise its exception; call once.
+
+        A child's outcome is received before the child is reaped, so a large
+        result cannot leave the child blocked on a full pipe.
+        """
+        if self._proc is None:
+            return self._fn()
+        try:
+            ok, value = self._conn.recv()
+        except EOFError:  # killed, or its outcome could not be pickled
+            ok, value = False, None
+        self._proc.join()
+        exitcode = self._proc.exitcode
+        self.close()
+        if ok:
+            return value
+        if value is None:
+            raise RuntimeError(f"forked process ended without a result (exit code {exitcode})")
+        raise value
+
+    def close(self) -> None:
+        """Terminate a child still running and reap it; idempotent."""
+        if self._proc is None:
+            return
+        self._conn.close()
+        if self._proc.exitcode is None:
+            self._proc.terminate()
+        self._proc.join()
+        self._proc.close()
+        self._proc = None
+
+
+def run_forked(fn) -> Forked:
+    """Start ``fn()`` beside the caller; ``join()`` the handle for its result.
+
+    The caller must ``close()`` the handle where it may not reach ``join()``
+    (in a ``finally`` clause), so that no child outlives the call.
+    """
+    ctx = _fork_context()
+    if ctx is None:
+        return Forked(fn)
+    conn, child_end = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_send_outcome, args=(fn, child_end), name="qsolsim-forked",
+                       daemon=True)
+    try:
+        proc.start()
+    except OSError:  # no process to spare: run inline instead
+        conn.close()
+        return Forked(fn)
+    finally:
+        child_end.close()
+    return Forked(fn, proc, conn)

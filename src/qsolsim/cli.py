@@ -22,6 +22,7 @@ anywhere in the pipeline.  Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -32,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from ._checks import finite
+from ._pair import run_forked
 from .dynamics import RHSCoefficients, propagate
 from .integrator import IntegrationError, StepControl
 from .observables import (
@@ -131,7 +133,7 @@ def resolve_config(cfg: dict) -> RunConfig:
         return _resolve(cfg)
     except ConfigError:
         raise
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError, ArithmeticError) as exc:  # e.g. 1 / an underflowed omega_c**2
         raise ConfigError(str(exc)) from exc
 
 
@@ -380,14 +382,16 @@ def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) / scale
 
 
-def _s_pair_report(rc: RunConfig, states_a: list, results_a: list[dict]) -> dict:
-    """Run the reordered twin and compare everything that must coincide.
+def _s_pair_report(rc: RunConfig, states_a: list, results_a: list[dict],
+                   states_b: list) -> dict:
+    """Compare the primary trajectory with its reordered twin in everything that
+    must coincide.
 
     ``states_a`` and ``results_a`` are the primary trajectory at ``rc.s`` and
-    its observable results, as ``run`` already computed them.
+    its observable results, and ``states_b`` the twin's states at
+    ``rc.s_pair[1]``, as ``run`` already computed them.
     """
     s2 = rc.s_pair[1]
-    states_b, _ = _run_trajectory(rc, s2)
     entries = []
     for st_a, res_a, st_b in zip(states_a, results_a, states_b):
         back = reorder_s(st_b, rc.s)
@@ -434,25 +438,34 @@ def run(cfg: dict, out_dir) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {str(out)!r}: {exc}") from exc
 
-    states, stats = _run_trajectory(rc, rc.s)
+    # an s-pair run's twin trajectory propagates beside the primary
+    twin = None if rc.s_pair is None else run_forked(
+        functools.partial(_run_trajectory, rc, rc.s_pair[1]))
+    try:
+        states, stats = _run_trajectory(rc, rc.s)
 
-    # kind -> emitter of the state or of that kind's observable result; built
-    # here so each name is looked up when the run starts, not at import
-    emitters = {"state": emit_state, "intensity": emit_intensity,
-                "ellipses": emit_ellipses, "nrparams": emit_nrparams,
-                "spectrum": emit_spectrum, "eta": emit_eta}
-    outputs = []
-    all_results = []
-    worst_heisenberg = math.inf
-    for state in states:
-        label = _time_label(state.t)
-        worst_heisenberg = min(worst_heisenberg, validate(state).heisenberg_margin)
-        results = _observable_results(rc, state)
-        all_results.append(results)
-        for kind in ("state", *rc.observables):
-            path = out / f"{kind}_t{label}{'.npy' if kind == 'state' else '.csv'}"
-            extras = emitters[kind](results.get(kind, state), path)
-            outputs.append({"path": path.name, "kind": kind, "t": state.t, **(extras or {})})
+        # kind -> emitter of the state or of that kind's observable result; built
+        # here so each name is looked up when the run starts, not at import
+        emitters = {"state": emit_state, "intensity": emit_intensity,
+                    "ellipses": emit_ellipses, "nrparams": emit_nrparams,
+                    "spectrum": emit_spectrum, "eta": emit_eta}
+        outputs = []
+        all_results = []
+        worst_heisenberg = math.inf
+        for state in states:
+            label = _time_label(state.t)
+            worst_heisenberg = min(worst_heisenberg, validate(state).heisenberg_margin)
+            results = _observable_results(rc, state)
+            all_results.append(results)
+            for kind in ("state", *rc.observables):
+                path = out / f"{kind}_t{label}{'.npy' if kind == 'state' else '.csv'}"
+                extras = emitters[kind](results.get(kind, state), path)
+                outputs.append({"path": path.name, "kind": kind, "t": state.t,
+                                **(extras or {})})
+        twin_states = None if twin is None else twin.join()[0]
+    finally:
+        if twin is not None:
+            twin.close()  # a primary failure must not leave the twin running
 
     manifest = {
         "package": "qsolsim",
@@ -489,8 +502,8 @@ def run(cfg: dict, out_dir) -> dict:
         "min_heisenberg_margin": worst_heisenberg,
         "outputs": outputs,
     }
-    if rc.s_pair is not None:
-        report = _s_pair_report(rc, states, all_results)
+    if twin_states is not None:
+        report = _s_pair_report(rc, states, all_results, twin_states)
         _write_json(out / "s_pair_report.json", report)
         manifest["s_pair_report"] = report
     _write_json(out / "manifest.json", manifest)

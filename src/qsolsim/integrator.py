@@ -51,8 +51,11 @@ class IntegrationError(RuntimeError):
     """Base class for integration failures; carries the last good time."""
 
     def __init__(self, message: str, t: float):
-        super().__init__(f"{message} (at t = {t!r})")
+        super().__init__(message, t)  # both in ``args``, so the error survives pickling
         self.t = t
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (at t = {self.t!r})"
 
 
 class StepSizeUnderflow(IntegrationError):

@@ -119,15 +119,21 @@ def thermal_occupation(lambda_c: float, T: float) -> float:
     """Bose-Einstein occupation of the reservoir at the carrier frequency.
 
     N_th = 1 / (exp(hbar * omega_c / (k_B T)) - 1) with omega_c = 2 pi c / lambda_c.
-    The T = 0 limit returns exactly 0.
+    The T = 0 limit returns exactly 0, and so does a temperature so small
+    that lambda_c * k_B * T underflows; an occupation that overflows raises
+    ValueError.
     """
     positive("lambda_c", lambda_c)
-    if non_negative("T", T) == 0.0:
+    lam_kt = lambda_c * K_BOLTZMANN * non_negative("T", T)
+    if lam_kt == 0.0:
         return 0.0
-    x = HBAR * 2.0 * math.pi * C_LIGHT / (lambda_c * K_BOLTZMANN * T)
+    x = HBAR * 2.0 * math.pi * C_LIGHT / lam_kt
     if x > 700.0:  # exp would overflow; occupation is numerically zero
         return 0.0
-    return 1.0 / math.expm1(x)
+    occupation = 1.0 / math.expm1(x) if x > 0.0 else math.inf
+    if occupation == math.inf:  # x = 0 (the product overflowed), or 1 / x overflows
+        raise ValueError(f"thermal occupation overflows at lambda_c={lambda_c}, T={T}")
+    return occupation
 
 
 def derive_scales(inputs: PhysicalInputs, grid: GridSpec, *,

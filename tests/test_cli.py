@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qsolsim.cli as cli
+from qsolsim import _pair
 from qsolsim.cli import (
     ConfigError,
     _write_csv,
@@ -290,6 +291,7 @@ class TestArtifacts:
         assert manifest["s_pair_report"]["comparisons"][0]["t"] == 0.1
 
     def test_s_pair_run_propagates_twice(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_pair, "_cpu_count", lambda: 1)  # the twin runs inline
         calls = []
         propagate = cli.propagate
 
@@ -437,3 +439,113 @@ def test_outputs_do_not_depend_on_blas_threads_or_cpus(tmp_path):
         for file in names:
             assert filecmp.cmp(reference / file, tmp_path / name / file, shallow=False), \
                 (name, file)
+
+
+# A qsolsim run in a fresh interpreter, where the s-pair twin forks.  The
+# script logs each propagation as "pid s", can make one trajectory fail
+# (MODE "twin-fails" or "primary-fails", where the twin first sleeps so that
+# it is still running), and prints its pid, the forks made and whether a
+# child is left.
+FORKING_RUN = r"""
+import json, os, sys, time
+import qsolsim.cli as cli
+from qsolsim.integrator import StepSizeUnderflow
+
+log, mode, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
+propagate, fork, forks = cli.propagate, os.fork, []
+
+def logged(state0, *args, **kwargs):
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()} {state0.s}\n")
+    twin = state0.s != 0.0
+    if mode == "primary-fails" and twin:
+        time.sleep(60)
+    if (mode, twin) in (("twin-fails", True), ("primary-fails", False)):
+        raise StepSizeUnderflow("forced failure", 0.01)
+    return propagate(state0, *args, **kwargs)
+
+def counted_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+cli.propagate, os.fork = logged, counted_fork
+code = cli.main(argv)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(json.dumps({"pid": os.getpid(), "forks": forks, "child_left": left}))
+sys.exit(code)
+"""
+
+PAIR_CONFIG = tiny_config(s_pair=[0.0, 0.85], t_end=0.05, output_times=[0.0, 0.05],
+                          observables=["intensity", "spectrum", "eta"])
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or _pair._cpu_count() < 2,
+                                reason="the twin forks only with fork and two CPUs")
+
+
+def run_forking_cli(tmp_path, mode):
+    cfg_path = tmp_path / "pair.json"
+    cfg_path.write_text(json.dumps(PAIR_CONFIG))
+    log = tmp_path / "propagations.txt"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FORKING_RUN, str(log), mode,
+         "run", str(cfg_path), "--out", str(tmp_path / "forked")],
+        env=env, capture_output=True, text=True, timeout=45)
+    facts = json.loads(proc.stdout.splitlines()[-1])
+    calls = [line.split() for line in log.read_text().splitlines()]
+    # the s of each propagation, by where it ran
+    parent = facts.pop("pid")
+    where = {"parent": [s for pid, s in calls if int(pid) == parent]}
+    where["child"] = [s for pid, s in calls if int(pid) in facts["forks"]]
+    facts["forks"] = len(facts["forks"])
+    return proc, facts, where
+
+
+@needs_fork
+def test_forked_twin_writes_the_files_of_an_inline_run(tmp_path, monkeypatch):
+    proc, facts, where = run_forking_cli(tmp_path, "ok")
+    assert proc.returncode == 0, proc.stderr
+    assert facts == {"forks": 1, "child_left": False}
+    # the primary propagates in the parent, the twin once in the child
+    assert where == {"parent": ["0.0"], "child": ["0.85"]}
+
+    monkeypatch.setattr(_pair, "_cpu_count", lambda: 1)
+    run(PAIR_CONFIG, tmp_path / "inline")
+    names = sorted(p.name for p in (tmp_path / "inline").iterdir())
+    assert "s_pair_report.json" in names
+    assert sorted(p.name for p in (tmp_path / "forked").iterdir()) == names
+    for name in names:
+        assert filecmp.cmp(tmp_path / "inline" / name, tmp_path / "forked" / name,
+                           shallow=False), name
+
+
+@needs_fork
+@pytest.mark.parametrize("mode", ["twin-fails", "primary-fails"])
+def test_failing_trajectory_exits_3_and_leaves_no_child(tmp_path, mode):
+    # a primary failure must not wait out the twin's 60 s sleep
+    proc, facts, where = run_forking_cli(tmp_path, mode)
+    assert proc.returncode == 3, proc.stderr
+    assert "numerical failure: forced failure (at t = 0.01)" in proc.stderr
+    assert facts == {"forks": 1, "child_left": False}
+    assert where["parent"] == ["0.0"]
+    # a primary that fails at once may stop the twin before it propagates
+    assert where["child"] == ["0.85"] if mode == "twin-fails" else where["child"] in (["0.85"], [])
+
+
+@pytest.mark.parametrize("physical, code", [
+    ({"T": 1e-300}, 0),                      # lambda_c * k_B * T underflows: N_th = 0
+    ({"lambda_c": 1e300, "T": 1e300}, 2),    # N_th overflows
+    ({"lambda_c": 1e300}, 2),                # omega_c ** 2 underflows in derive_scales
+])
+def test_extreme_physical_inputs_exit_code(tmp_path, physical, code):
+    cfg = tiny_config(physical={"t0": 2e-12, "D": 20.0, "Gamma": 0.3, **physical})
+    del cfg["scaled"], cfg["n_th"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--validate-only"]) == code

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -186,6 +187,15 @@ class TestIntegrate:
         assert type(err.value) is IntegrationError
         assert str(err.value) == "more than 50 consecutive step rejections (at t = 0.0)"
         assert err.value.t == 0.0
+
+    @pytest.mark.parametrize("cls", [IntegrationError, StepSizeUnderflow, NonFiniteStateError])
+    def test_errors_keep_message_and_time_through_pickle(self, cls):
+        # a failure in a forked child reaches the parent pickled
+        err = cls("step size underflow", 4.9)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is cls
+        assert str(back) == str(err) == "step size underflow (at t = 4.9)"
+        assert back.t == 4.9
 
     def test_overflowing_derivative_norm_falls_back_to_a_small_first_step(self):
         # atol = 1e-200 makes the weighted derivative norm overflow, so the

@@ -4,8 +4,10 @@ behaves like code on the calling thread (exceptions, numpy error state)."""
 import functools
 import os
 import signal
+import subprocess
 import sys
 import threading
+import types
 import weakref
 
 import numpy as np
@@ -145,3 +147,115 @@ def test_callers_on_several_threads_share_the_worker(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert counts == [[300, 300]] * 4
+
+
+def test_cpu_count_falls_back_without_sched_getaffinity(monkeypatch):
+    # macOS and Windows have no affinity mask
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _pair._cpu_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert _pair._cpu_count() == 1
+
+
+def _forked_pid(monkeypatch, cpus: int, threads: int, methods=("fork", "spawn")):
+    import multiprocessing
+
+    monkeypatch.setattr(_pair, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(threading, "active_count", lambda: threads)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: list(methods))
+    return _pair.run_forked(os.getpid).join()
+
+
+@pytest.mark.parametrize("cpus, threads, methods", [
+    (1, 1, ("fork", "spawn")),  # one CPU: nothing to overlap
+    (2, 2, ("fork", "spawn")),  # another thread: its locks would be copied held
+    (2, 1, ("spawn",)),         # no fork start method
+])
+def test_run_forked_runs_inline_where_it_must_not_fork(monkeypatch, cpus, threads, methods):
+    assert _forked_pid(monkeypatch, cpus, threads, methods) == os.getpid()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_run_forked_runs_inline_when_the_fork_fails(monkeypatch):
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+
+    class Unstartable(ctx.Process):
+        def start(self):
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+    fake = types.SimpleNamespace(Pipe=ctx.Pipe, Process=Unstartable)
+    monkeypatch.setattr(_pair, "_fork_context", lambda: fake)
+    assert _pair.run_forked(os.getpid).join() == os.getpid()
+
+
+def test_inline_work_waits_for_join_and_raises_there(monkeypatch):
+    monkeypatch.setattr(_pair, "_cpu_count", lambda: 1)
+    ran = []
+
+    def fn():
+        ran.append(True)
+        raise KeyError("inline")
+
+    handle = _pair.run_forked(fn)
+    assert ran == []
+    with pytest.raises(KeyError):
+        handle.join()
+    assert ran == [True]
+
+
+FORK_CHECKS = r"""
+import os, pickle, signal, sys, threading, time
+from qsolsim import _pair
+from qsolsim.integrator import StepSizeUnderflow
+
+assert threading.active_count() == 1 and _pair._cpu_count() >= 2
+
+# the result comes back from a child process
+assert _pair.run_forked(os.getpid).join() != os.getpid()
+big = _pair.run_forked(lambda: bytes(3_000_000)).join()  # beyond any pipe buffer
+assert big == bytes(3_000_000)
+
+# an exception comes back with its type and fields
+def fail():
+    raise StepSizeUnderflow("step size underflow", 4.9)
+try:
+    _pair.run_forked(fail).join()
+except StepSizeUnderflow as exc:
+    assert exc.t == 4.9 and str(exc) == "step size underflow (at t = 4.9)"
+else:
+    raise AssertionError("no exception")
+
+# a child that dies without a result is reported, not waited for forever
+try:
+    _pair.run_forked(lambda: os.kill(os.getpid(), signal.SIGKILL)).join()
+except RuntimeError as exc:
+    assert "ended without a result" in str(exc)
+else:
+    raise AssertionError("no exception")
+
+# close() terminates a child still running and reaps it
+handle = _pair.run_forked(lambda: time.sleep(60))
+start = time.monotonic()
+handle.close()
+handle.close()
+assert time.monotonic() - start < 10
+
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or _pair._cpu_count() < 2,
+                    reason="needs fork and two CPUs")
+def test_run_forked_in_a_fresh_process():
+    # a fresh interpreter has one thread, so run_forked forks there
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(_pair.__file__)))
+    proc = subprocess.run([sys.executable, "-c", FORK_CHECKS], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "no child left"

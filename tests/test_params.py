@@ -47,6 +47,17 @@ class TestThermalOccupation:
         with pytest.raises(ValueError):
             thermal_occupation(1.5e-6, -1.0)
 
+    @pytest.mark.parametrize("lambda_c, T", [(1.5e-6, 1e-300), (1e-300, 1e-300)])
+    def test_underflowing_product_gives_zero(self, lambda_c, T):
+        # lambda_c * k_B * T underflows to 0: the T -> 0 limit, not a division by zero
+        assert thermal_occupation(lambda_c, T) == 0.0
+
+    @pytest.mark.parametrize("lambda_c, T", [(1e300, 1e300), (1e154, 1e154)])
+    def test_overflowing_occupation_is_rejected(self, lambda_c, T):
+        # the product overflows (x = 0), or 1 / x does
+        with pytest.raises(ValueError, match="thermal occupation overflows"):
+            thermal_occupation(lambda_c, T)
+
 
 class TestDeriveScales:
     def test_two_ps_pulse(self):
