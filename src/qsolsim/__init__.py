@@ -42,6 +42,7 @@ from .observables import (
 )
 from .params import (
     PhysicalInputs,
+    ScaledInputs,
     ScaledParams,
     derive_scales,
     gaussian_validity_ratio,
@@ -71,6 +72,7 @@ __all__ = [
     "LOPulse",
     "PhysicalInputs",
     "RHSCoefficients",
+    "ScaledInputs",
     "ScaledParams",
     "SpectrumResult",
     "StepControl",

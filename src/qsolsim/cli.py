@@ -5,7 +5,8 @@ executed with ``qsolsim run config.json`` or ``qsolsim run --scenario NAME``.
 Artifacts go to the output directory:
 
 * ``manifest.json``      -- resolved parameters, integrator statistics,
-                            package version, config echo, output listing;
+                            package version, config echo, output listing
+                            and, for an ``s_pair`` run, the s-pair report;
 * ``state_t<label>.npy`` -- full reloadable cumulant state per output time:
                             one 0-d structured array (fields ``format``,
                             ``m``, ``dx``, ``boundary``, ``s``, ``t``, ``cu``,
@@ -22,12 +23,13 @@ anywhere in the pipeline.  Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +51,7 @@ from .observables import (
 )
 from .params import (
     PhysicalInputs,
+    ScaledInputs,
     ScaledParams,
     derive_scales,
     gaussian_validity_ratio,
@@ -67,12 +70,8 @@ _TOP_KEYS = {
     "lo_real", "lo_imag", "method", "atol", "rtol", "s_pair", "out_dir",
 }
 
-# parameter block -> (required keys, optional keys); every member is a number
-_BLOCKS = {
-    "physical": ({"t0", "D", "Gamma"},
-                 {"lambda_c", "T", "nbar", "sign_chi", "sign_omega2", "delta_omega"}),
-    "scaled": ({"gamma_t", "nbar"}, {"delta_omega_t", "sign_chi", "sign_omega2"}),
-}
+# parameter block -> the input class whose fields are its keys; every member is a number
+_ROUTES = {"physical": PhysicalInputs, "scaled": ScaledInputs}
 _NUMBER = (int, float)
 
 
@@ -80,7 +79,7 @@ class ConfigError(ValueError):
     """Invalid run configuration; message names the offending key."""
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     """Validated, resolved run description."""
 
@@ -133,7 +132,7 @@ def resolve_config(cfg: dict) -> RunConfig:
         return _resolve(cfg)
     except ConfigError:
         raise
-    except (ValueError, TypeError, ArithmeticError) as exc:  # e.g. 1 / an underflowed omega_c**2
+    except (ValueError, TypeError, ArithmeticError) as exc:  # e.g. 1 / an underflowed dx**2
         raise ConfigError(str(exc)) from exc
 
 
@@ -148,14 +147,15 @@ def _resolve(cfg: dict) -> RunConfig:
     s = float(_get(cfg, "s", 0.0, _NUMBER, "a number",
                    lambda v: -1 <= v <= 1, "must lie in [-1, 1]"))
 
-    modes = [name for name in _BLOCKS if cfg.get(name) is not None]
+    modes = [name for name in _ROUTES if cfg.get(name) is not None]
     if len(modes) != 1:
         raise ConfigError("exactly one of 'physical' or 'scaled' must be present")
     mode = modes[0]
     block = {key: val for key, val in _get(cfg, mode, None, dict, "an object").items()
              if val is not None}
-    required, optional = _BLOCKS[mode]
-    unknown, missing = set(block) - required - optional, required - set(block)
+    fields = dataclasses.fields(_ROUTES[mode])
+    unknown = set(block) - {f.name for f in fields}
+    missing = {f.name for f in fields if f.default is dataclasses.MISSING} - set(block)
     if unknown:
         raise ConfigError(f"{mode} block: unknown keys {sorted(unknown)}")
     if missing:
@@ -166,22 +166,7 @@ def _resolve(cfg: dict) -> RunConfig:
              lambda v: "sign_" not in key or v in (-1, 1), "must be +1 or -1")
     n_th = _get(cfg, "n_th", None, _NUMBER, "a number")
 
-    if mode == "physical":
-        scaled = derive_scales(PhysicalInputs(**block), grid, n_th=n_th)
-    else:
-        if n_th is None:
-            raise ConfigError("scaled mode requires an explicit 'n_th'")
-        scaled = ScaledParams(
-            gamma_t=float(block["gamma_t"]),
-            disp_sign=int(block.get("sign_omega2", -1)),
-            chi_sign=int(block.get("sign_chi", 1)),
-            n0=float(block["nbar"]) * grid.dx,
-            nbar=float(block["nbar"]),
-            n_th=float(n_th),
-            delta_omega_t=float(block.get("delta_omega_t", 0.0)),
-            t_d=math.nan,
-            x_d=math.nan,
-        )
+    scaled = derive_scales(_ROUTES[mode](**block), grid, n_th=n_th)
     coeffs = rhs_coefficients(scaled, grid)
 
     initial = _get(cfg, "initial", "soliton", str, "a string",
@@ -359,17 +344,31 @@ def emit_eta(result, path) -> dict:
 
 # -- run orchestration -----------------------------------------------------------
 
-def _run_trajectory(rc: RunConfig, s: float):
+class _Side(NamedTuple):
+    """One trajectory: output states, integrator statistics, per-state results."""
+
+    states: list
+    stats: object
+    results: list[dict]
+
+
+def _run_trajectory(rc: RunConfig, s: float) -> _Side:
+    """Propagate the run at ordering ``s`` and evaluate its observables."""
     if rc.initial == "soliton":
         state0 = fundamental_soliton(rc.grid, rc.scaled.n0, rc.scaled.n_th, s)
     else:
         state0 = thermal_state(rc.grid, rc.scaled.n_th, s)
-    return propagate(state0, rc.coeffs, rc.t_end, output_times=rc.output_times,
-                     tableau=TABLEAUS[rc.method], control=rc.control)
+    states, stats = propagate(state0, rc.coeffs, rc.t_end, output_times=rc.output_times,
+                              tableau=TABLEAUS[rc.method], control=rc.control)
+    return _Side(states, stats, [_observable_results(rc, state) for state in states])
 
 
 def _observable_results(rc: RunConfig, state: CumulantState) -> dict:
+    """The spectrum and eta results a run emits, and in an s-pair run the
+    intensity profile its report compares."""
     out = {}
+    if rc.s_pair is not None:
+        out["intensity_profile"] = intensity(state)
     if "spectrum" in rc.observables:
         out["spectrum"] = squeezing_spectrum(state, rc.lo, rc.omega, rc.spectrum_phase)
     if "eta" in rc.observables:
@@ -382,34 +381,31 @@ def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) / scale
 
 
-def _s_pair_report(rc: RunConfig, states_a: list, results_a: list[dict],
-                   states_b: list) -> dict:
-    """Compare the primary trajectory with its reordered twin in everything that
-    must coincide.
+def _s_pair_report(rc: RunConfig, primary: _Side, twin: _Side) -> dict:
+    """Compare the primary trajectory at ``rc.s`` with its twin at
+    ``rc.s_pair[1]`` in everything that must coincide.
 
-    ``states_a`` and ``results_a`` are the primary trajectory at ``rc.s`` and
-    its observable results, and ``states_b`` the twin's states at
-    ``rc.s_pair[1]``, as ``run`` already computed them.
+    An eta deviation is None where no window is defined on both sides.
     """
-    s2 = rc.s_pair[1]
     entries = []
-    for st_a, res_a, st_b in zip(states_a, results_a, states_b):
+    for st_a, res_a, st_b, res_b in zip(primary.states, primary.results,
+                                        twin.states, twin.results):
         back = reorder_s(st_b, rc.s)
         entry = {
             "t": st_a.t,
             "block_rel_dev": max(_rel_diff(getattr(st_a, name), getattr(back, name))
                                  for name in ("cu", "cv", "cuu", "cuv", "cvv")),
-            "intensity_rel_dev": _rel_diff(intensity(st_a), intensity(st_b)),
+            "intensity_rel_dev": _rel_diff(res_a["intensity_profile"],
+                                           res_b["intensity_profile"]),
         }
-        res_b = _observable_results(rc, st_b)
         if "spectrum" in res_a:
             entry["spectrum_rel_dev"] = _rel_diff(res_a["spectrum"].s, res_b["spectrum"].s)
         if "eta" in res_a:
             ea, eb = res_a["eta"].eta, res_b["eta"].eta
             mask = np.isfinite(ea) & np.isfinite(eb)
-            entry["eta_rel_dev"] = _rel_diff(ea[mask], eb[mask])
+            entry["eta_rel_dev"] = _rel_diff(ea[mask], eb[mask]) if mask.any() else None
         entries.append(entry)
-    return {"s": rc.s, "s_partner": s2, "comparisons": entries}
+    return {"s": rc.s, "s_partner": rc.s_pair[1], "comparisons": entries}
 
 
 def _sanitize(obj):
@@ -442,7 +438,7 @@ def run(cfg: dict, out_dir) -> dict:
     twin = None if rc.s_pair is None else run_forked(
         functools.partial(_run_trajectory, rc, rc.s_pair[1]))
     try:
-        states, stats = _run_trajectory(rc, rc.s)
+        primary = _run_trajectory(rc, rc.s)
 
         # kind -> emitter of the state or of that kind's observable result; built
         # here so each name is looked up when the run starts, not at import
@@ -450,41 +446,29 @@ def run(cfg: dict, out_dir) -> dict:
                     "ellipses": emit_ellipses, "nrparams": emit_nrparams,
                     "spectrum": emit_spectrum, "eta": emit_eta}
         outputs = []
-        all_results = []
         worst_heisenberg = math.inf
-        for state in states:
+        for state, results in zip(primary.states, primary.results):
             label = _time_label(state.t)
             worst_heisenberg = min(worst_heisenberg, validate(state).heisenberg_margin)
-            results = _observable_results(rc, state)
-            all_results.append(results)
             for kind in ("state", *rc.observables):
                 path = out / f"{kind}_t{label}{'.npy' if kind == 'state' else '.csv'}"
                 extras = emitters[kind](results.get(kind, state), path)
                 outputs.append({"path": path.name, "kind": kind, "t": state.t,
                                 **(extras or {})})
-        twin_states = None if twin is None else twin.join()[0]
+        report = None if twin is None else _s_pair_report(rc, primary, twin.join())
     finally:
         if twin is not None:
             twin.close()  # a primary failure must not leave the twin running
 
+    scaled = dataclasses.asdict(rc.scaled)
+    scaled["t_d_seconds"], scaled["x_d_meters"] = scaled.pop("t_d"), scaled.pop("x_d")
     manifest = {
         "package": "qsolsim",
         "version": __version__,
         "deterministic": True,
         "config": rc.raw,
         "grid": {"m": rc.grid.m, "dx": rc.grid.dx, "boundary": rc.grid.boundary},
-        "scaled_params": {
-            "gamma_t": rc.scaled.gamma_t,
-            "disp_sign": rc.scaled.disp_sign,
-            "chi_sign": rc.scaled.chi_sign,
-            "n0": rc.scaled.n0,
-            "nbar": rc.scaled.nbar,
-            "n_th": rc.scaled.n_th,
-            "delta_omega_t": rc.scaled.delta_omega_t,
-            "s": rc.s,
-            "t_d_seconds": rc.scaled.t_d,
-            "x_d_meters": rc.scaled.x_d,
-        },
+        "scaled_params": {**scaled, "s": rc.s},
         "coefficients": {
             "d2": rc.coeffs.d2,
             "chi_t": rc.coeffs.chi_t,
@@ -497,14 +481,12 @@ def run(cfg: dict, out_dir) -> dict:
             "method": rc.method,
             "atol": rc.control.atol,
             "rtol": rc.control.rtol,
-            "stats": stats.as_dict(),
+            "stats": primary.stats.as_dict(),
         },
         "min_heisenberg_margin": worst_heisenberg,
         "outputs": outputs,
     }
-    if twin_states is not None:
-        report = _s_pair_report(rc, states, all_results, twin_states)
-        _write_json(out / "s_pair_report.json", report)
+    if report is not None:
         manifest["s_pair_report"] = report
     _write_json(out / "manifest.json", manifest)
     return manifest
@@ -576,6 +558,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
         else:
             raise ConfigError("run needs a config file or --scenario")
+        if not isinstance(cfg, dict):
+            raise ConfigError("config must be a JSON object")
         for spec in args.override:
             _apply_override(cfg, spec)
 

@@ -27,6 +27,7 @@ K_BOLTZMANN = 1.380649e-23     # J / K
 
 __all__ = [
     "PhysicalInputs",
+    "ScaledInputs",
     "ScaledParams",
     "thermal_occupation",
     "derive_scales",
@@ -86,6 +87,25 @@ class PhysicalInputs:
 
 
 @dataclass(frozen=True)
+class ScaledInputs:
+    """The scaled route: damping per dispersion time, photon-number scale,
+    rotating-frame offset in dispersion-time units, and the signs of
+    ``PhysicalInputs``."""
+
+    gamma_t: float
+    nbar: float
+    delta_omega_t: float = 0.0
+    sign_chi: int = 1
+    sign_omega2: int = -1
+
+    def __post_init__(self):
+        non_negative("gamma_t", self.gamma_t)
+        positive("nbar", self.nbar)
+        finite("delta_omega_t", self.delta_omega_t)
+        _check_signs(sign_chi=self.sign_chi, sign_omega2=self.sign_omega2)
+
+
+@dataclass(frozen=True)
 class ScaledParams:
     """Dimensionless coefficients plus provenance scales.
 
@@ -136,21 +156,42 @@ def thermal_occupation(lambda_c: float, T: float) -> float:
     return occupation
 
 
-def derive_scales(inputs: PhysicalInputs, grid: GridSpec, *,
+def derive_scales(inputs: PhysicalInputs | ScaledInputs, grid: GridSpec, *,
                   n_th: float | None = None) -> ScaledParams:
-    """Reduce laboratory inputs to the dimensionless parameter set.
+    """Reduce either route's inputs to the dimensionless parameter set.
 
     k2 = 2 pi c D / omega_c^2 (magnitude), x_d = t0^2 / |k2|,
     gamma_t = 0.05 ln(10) * Gamma[dB/km] * x_d[km], n0 = nbar * dx.
     ``n_th`` overrides the occupation computed from (lambda_c, T); headline
-    configurations pin it directly.
+    configurations pin it directly.  Scaled inputs need it, and leave t_d
+    and x_d NaN.
     """
-    d_si = inputs.D * 1e-6  # ps nm^-1 km^-1  ->  s m^-2
-    omega_c = 2.0 * math.pi * C_LIGHT / inputs.lambda_c
-    k2 = 2.0 * math.pi * C_LIGHT * abs(d_si) / omega_c ** 2  # s^2 / m
-    x_d = inputs.t0 ** 2 / k2
+    if isinstance(inputs, ScaledInputs):
+        if n_th is None:
+            raise ValueError("scaled mode requires an explicit 'n_th'")
+        return ScaledParams(
+            gamma_t=float(inputs.gamma_t),
+            disp_sign=int(inputs.sign_omega2),
+            chi_sign=int(inputs.sign_chi),
+            n0=float(inputs.nbar) * grid.dx,
+            nbar=float(inputs.nbar),
+            n_th=float(n_th),
+            delta_omega_t=float(inputs.delta_omega_t),
+            t_d=math.nan,
+            x_d=math.nan,
+        )
+    try:
+        d_si = inputs.D * 1e-6  # ps nm^-1 km^-1  ->  s m^-2
+        omega_c = 2.0 * math.pi * C_LIGHT / inputs.lambda_c
+        k2 = 2.0 * math.pi * C_LIGHT * abs(d_si) / omega_c ** 2  # s^2 / m
+        x_d = inputs.t0 ** 2 / k2
+    except (ZeroDivisionError, OverflowError):
+        x_d = math.nan
     gamma_t = 0.05 * math.log(10.0) * inputs.Gamma * (x_d / 1000.0)
     t_d = x_d / C_LIGHT
+    if not 0.0 < t_d < math.inf or (gamma_t == 0.0 and inputs.Gamma > 0):  # underflow
+        raise ValueError(f"scales leave the float range at t0={inputs.t0}, D={inputs.D}, "
+                         f"lambda_c={inputs.lambda_c}, Gamma={inputs.Gamma}")
     occupation = thermal_occupation(inputs.lambda_c, inputs.T) if n_th is None else n_th
     return ScaledParams(
         gamma_t=gamma_t,

@@ -282,7 +282,8 @@ class TestArtifacts:
         cfg = tiny_config(s_pair=[0.0, 0.85], t_end=0.1, output_times=[0.1],
                           observables=["intensity", "spectrum"])
         manifest = run(cfg, tmp_path)
-        report = json.loads((tmp_path / "s_pair_report.json").read_text())
+        report = json.loads((tmp_path / "manifest.json").read_text())["s_pair_report"]
+        assert not (tmp_path / "s_pair_report.json").exists()  # the manifest is its one copy
         assert report["s_partner"] == 0.85
         comp = report["comparisons"][0]
         # integrator-tolerance-level agreement at the default 1e-9 control
@@ -300,11 +301,32 @@ class TestArtifacts:
             return propagate(*args, **kwargs)
 
         monkeypatch.setattr(cli, "propagate", counting)
+        spectra = []
+        spectrum = cli.squeezing_spectrum
+
+        def counting_spectra(state, *args, **kwargs):
+            spectra.append((state.s, state.t))
+            return spectrum(state, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "squeezing_spectrum", counting_spectra)
         cfg = tiny_config(s_pair=[0.0, 0.85], t_end=0.05, output_times=[0.0, 0.05],
                           observables=["intensity", "spectrum", "eta"])
         run(cfg, tmp_path)
         # the primary trajectory is reused for the comparison; only the twin is new
         assert calls == [0.0, 0.85]
+        # one observable pass per side: each ordering's spectrum once per output time
+        assert spectra == [(0.0, 0.0), (0.0, 0.05), (0.85, 0.0), (0.85, 0.05)]
+
+    def test_s_pair_report_without_a_common_eta_window(self, tmp_path):
+        # a thermal vacuum-like state has no eta window defined on both sides
+        cfg = {"scaled": {"gamma_t": 0.01, "nbar": 100.0}, "n_th": 0.0, "m": 8, "dx": 0.5,
+               "initial": "thermal", "t_end": 0.1, "output_times": [0.1],
+               "observables": ["eta"], "s_pair": [0.0, 0.5]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["s_pair_report"]["comparisons"][0]["eta_rel_dev"] is None
 
 
 class TestCommandLine:
@@ -405,6 +427,15 @@ class TestCommandLine:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_config()))
         assert main(["run", str(path), "--scenario", "eta-lossless"]) == 2
+
+    @pytest.mark.parametrize("root, override", [([1, 2], "m=10"),
+                                                ("abc", "scaled.nbar=1")])
+    def test_override_on_a_non_object_config_exit_code(self, tmp_path, capsys,
+                                                       root, override):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(root))
+        assert main(["run", str(path), "--override", override]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
@@ -518,7 +549,7 @@ def test_forked_twin_writes_the_files_of_an_inline_run(tmp_path, monkeypatch):
     monkeypatch.setattr(_pair, "_cpu_count", lambda: 1)
     run(PAIR_CONFIG, tmp_path / "inline")
     names = sorted(p.name for p in (tmp_path / "inline").iterdir())
-    assert "s_pair_report.json" in names
+    assert "s_pair_report" in json.loads((tmp_path / "inline" / "manifest.json").read_text())
     assert sorted(p.name for p in (tmp_path / "forked").iterdir()) == names
     for name in names:
         assert filecmp.cmp(tmp_path / "inline" / name, tmp_path / "forked" / name,
@@ -542,6 +573,7 @@ def test_failing_trajectory_exits_3_and_leaves_no_child(tmp_path, mode):
     ({"T": 1e-300}, 0),                      # lambda_c * k_B * T underflows: N_th = 0
     ({"lambda_c": 1e300, "T": 1e300}, 2),    # N_th overflows
     ({"lambda_c": 1e300}, 2),                # omega_c ** 2 underflows in derive_scales
+    ({"t0": 1e-300, "D": 1e300}, 2),         # x_d underflows: the damping would vanish
 ])
 def test_extreme_physical_inputs_exit_code(tmp_path, physical, code):
     cfg = tiny_config(physical={"t0": 2e-12, "D": 20.0, "Gamma": 0.3, **physical})

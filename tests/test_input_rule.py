@@ -48,6 +48,8 @@ VALID = {
         t0=2e-12, D=20.0, Gamma=0.3, lambda_c=1.5e-6, T=300.0, nbar=1e9, delta_omega=0.0)),
     "RHSCoefficients": (qsolsim.RHSCoefficients, lambda: dict(
         d2=-1.0, chi_t=0.01, gamma_t=0.1, delta_omega_t=0.2, n_th=0.1)),
+    "ScaledInputs": (qsolsim.ScaledInputs, lambda: dict(
+        gamma_t=0.1, nbar=1e9, delta_omega_t=0.2, sign_chi=1, sign_omega2=-1)),
     "ScaledParams": (qsolsim.ScaledParams, lambda: dict(
         gamma_t=0.1, disp_sign=-1, chi_sign=1, n0=1e8, nbar=1e9, n_th=0.0,
         delta_omega_t=0.0, t_d=math.nan, x_d=math.nan)),
@@ -57,6 +59,8 @@ VALID = {
         for f in dataclasses.fields(qsolsim.Tableau)}),
     "derive_scales": (qsolsim.derive_scales, lambda: dict(
         inputs=qsolsim.PhysicalInputs(t0=2e-12, D=20.0, Gamma=0.3), grid=GRID, n_th=0.0)),
+    "derive_scales (scaled route)": (qsolsim.derive_scales, lambda: dict(
+        inputs=qsolsim.ScaledInputs(gamma_t=0.1, nbar=1e9), grid=GRID, n_th=0.0)),
     "fundamental_soliton": (qsolsim.fundamental_soliton, lambda: dict(
         grid=GRID, n0=100.0, n_th=0.1, s=0.0)),
     "integrate": (qsolsim.integrate, lambda: dict(

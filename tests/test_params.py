@@ -9,6 +9,7 @@ from qsolsim.params import (
     HBAR,
     K_BOLTZMANN,
     PhysicalInputs,
+    ScaledInputs,
     ScaledParams,
     derive_scales,
     gaussian_validity_ratio,
@@ -91,6 +92,27 @@ class TestDeriveScales:
         scaled = derive_scales(paper_inputs(), GRID, n_th=1e-16)
         assert scaled.n_th == 1e-16
 
+    @pytest.mark.parametrize("extreme", [
+        dict(lambda_c=1e300),         # omega_c ** 2 underflows
+        dict(t0=1e200, D=1e-300),     # t0 ** 2 overflows
+        dict(t0=1e-300, D=1e300),     # x_d underflows: the damping would vanish
+    ])
+    def test_extreme_inputs_raise_value_error_naming_them(self, extreme):
+        inputs = PhysicalInputs(**{**dict(t0=2e-12, D=20.0, Gamma=0.3), **extreme})
+        with pytest.raises(ValueError, match=r"t0=.*, D=.*, lambda_c=.*, Gamma=0\.3"):
+            derive_scales(inputs, GRID, n_th=0.0)
+
+    def test_scaled_route(self):
+        scaled = derive_scales(ScaledInputs(gamma_t=0.05, nbar=1e4), GRID, n_th=0.2)
+        assert (scaled.gamma_t, scaled.nbar, scaled.n_th) == (0.05, 1e4, 0.2)
+        assert scaled.n0 == 1e4 * GRID.dx
+        assert (scaled.disp_sign, scaled.chi_sign, scaled.delta_omega_t) == (-1, 1, 0.0)
+        assert math.isnan(scaled.t_d) and math.isnan(scaled.x_d)
+
+    def test_scaled_route_requires_occupation(self):
+        with pytest.raises(ValueError, match="scaled mode requires an explicit 'n_th'"):
+            derive_scales(ScaledInputs(gamma_t=0.05, nbar=1e4), GRID)
+
     @given(
         gamma=st.floats(0.01, 10.0),
         t0=st.floats(0.5e-12, 20e-12),
@@ -125,6 +147,13 @@ def test_scaled_params_reject_non_finite(name, value):
     ScaledParams(**kwargs)
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         ScaledParams(**{**kwargs, name: value})
+
+
+@pytest.mark.parametrize("value", [0, 2, -0.5, math.nan])
+@pytest.mark.parametrize("name", ["sign_chi", "sign_omega2"])
+def test_scaled_inputs_reject_signs_other_than_unit(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be \\+1 or -1"):
+        ScaledInputs(gamma_t=0.1, nbar=1e9, **{name: value})
 
 
 @pytest.mark.parametrize("value", [0, 2, -0.5, math.nan])
