@@ -30,7 +30,7 @@ from .dynamics import (
     propagate,
     rhs,
 )
-from .integrator import IntegrationResult, StepControl, integrate, integrate_fixed, step
+from .integrator import IntegrationResult, StepControl, integrate, integrate_fixed
 from .observables import (
     CorrelationResult,
     LOPulse,
@@ -91,7 +91,6 @@ __all__ = [
     "rhs",
     "rhs_coefficients",
     "squeezing_spectrum",
-    "step",
     "thermal_occupation",
     "thermal_state",
     "validate",

@@ -364,11 +364,8 @@ def _run_trajectory(rc: RunConfig, s: float) -> _Side:
 
 
 def _observable_results(rc: RunConfig, state: CumulantState) -> dict:
-    """The spectrum and eta results a run emits, and in an s-pair run the
-    intensity profile its report compares."""
+    """The spectrum and eta results a run emits."""
     out = {}
-    if rc.s_pair is not None:
-        out["intensity_profile"] = intensity(state)
     if "spectrum" in rc.observables:
         out["spectrum"] = squeezing_spectrum(state, rc.lo, rc.omega, rc.spectrum_phase)
     if "eta" in rc.observables:
@@ -395,8 +392,7 @@ def _s_pair_report(rc: RunConfig, primary: _Side, twin: _Side) -> dict:
             "t": st_a.t,
             "block_rel_dev": max(_rel_diff(getattr(st_a, name), getattr(back, name))
                                  for name in ("cu", "cv", "cuu", "cuv", "cvv")),
-            "intensity_rel_dev": _rel_diff(res_a["intensity_profile"],
-                                           res_b["intensity_profile"]),
+            "intensity_rel_dev": _rel_diff(intensity(st_a), intensity(st_b)),
         }
         if "spectrum" in res_a:
             entry["spectrum_rel_dev"] = _rel_diff(res_a["spectrum"].s, res_b["spectrum"].s)

@@ -35,13 +35,11 @@ from .tableaus import DORMAND_PRINCE_853, Tableau
 
 __all__ = [
     "StepControl",
-    "StepResult",
     "StepStats",
     "IntegrationResult",
     "IntegrationError",
     "StepSizeUnderflow",
     "NonFiniteStateError",
-    "step",
     "integrate",
     "integrate_fixed",
 ]
@@ -109,15 +107,6 @@ class StepStats:
             "smallest_step": None if math.isinf(self.h_smallest) else self.h_smallest,
             "largest_step": self.h_largest or None,
         }
-
-
-@dataclass(frozen=True)
-class StepResult:
-    t_new: float
-    y_new: np.ndarray
-    error_norm: float
-    accepted: bool
-    h_next: float
 
 
 def _rms(x: np.ndarray) -> float:
@@ -237,31 +226,18 @@ def _all_finite(y: np.ndarray) -> bool:
     return all(ok.values())
 
 
-def step(fun, t: float, y: np.ndarray, h: float, tableau: Tableau,
-         control: StepControl, buffers: _Buffers | None = None,
-         rejected_before: bool = False, stats: StepStats | None = None) -> StepResult:
-    """Attempt a single step of size h; propose the next step size.
+def step(fun, t: float, y: np.ndarray, h: float, tableau: Tableau, control: StepControl,
+         buffers: _Buffers, stats: StepStats, rejected_before: bool) -> tuple[bool, float]:
+    """Attempt one step of ``integrate`` of size h; returns (accepted, h_next).
 
-    ``fun(t, y, out)`` writes the derivative at (t, y) into ``out``.
-    ``buffers`` are the work arrays of an ongoing ``integrate``, with the
-    derivative at (t, y) in stage row 0; without them they are allocated and
-    the derivative is evaluated.  An accepted ``y_new`` is a work array that
-    the next step of the same integration overwrites.
-
-    Never returns an accepted state whose error estimate exceeds tolerance:
-    a failed attempt comes back with ``accepted=False`` and a reduced
-    ``h_next`` for the caller to retry.
+    ``buffers`` hold the derivative at (t, y) in stage row 0; the attempt
+    leaves y + h*sum(b k) in ``buffers.y_new`` and y untouched.  An attempt
+    whose error estimate exceeds tolerance is rejected with a reduced
+    ``h_next`` for ``integrate`` to retry; after a rejection the step does
+    not grow.
     """
-    finite("t", t)
-    positive("h", h)
-    if buffers is None:  # y comes from the caller; integrate checks its own
-        buffers = _Buffers(finite("y", y), tableau)
-        fun(t, y, buffers.k[0])
-        if stats is not None:
-            stats.n_rhs += 1
     y_new = _stages(fun, t, y, h, tableau, buffers)
-    if stats is not None:
-        stats.n_rhs += tableau.n_stages
+    stats.n_rhs += tableau.n_stages
     scale, vec = buffers.scale, buffers.vec
 
     def error_scale(lo, hi):  # atol + rtol * max(|y|, |y_new|)
@@ -272,25 +248,18 @@ def step(fun, t: float, y: np.ndarray, h: float, tableau: Tableau,
 
     _split(y.size, error_scale)
     err = _error_norm(h, tableau, buffers)
-    exponent = -1.0 / (tableau.error_order + 1)
-
-    if math.isfinite(err) and err < 1.0:
-        if err == 0.0:
-            factor = MAX_FACTOR
-        else:
-            factor = min(MAX_FACTOR, SAFETY * err ** exponent)
-        if rejected_before:
-            factor = min(1.0, factor)
-        result = StepResult(t + h, y_new, err, True, h * factor)
-    else:
-        if math.isfinite(err):
-            factor = max(MIN_FACTOR, SAFETY * err ** exponent)
-        else:  # overflow in a trial stage: back off hard
-            factor = MIN_FACTOR
-        result = StepResult(t, y, err, False, h * factor)
-    if stats is not None:
-        stats.record(h, result.accepted)
-    return result
+    accepted = err < 1.0  # False for NaN
+    if err == 0.0:
+        factor = MAX_FACTOR
+    elif math.isfinite(err):
+        exponent = -1.0 / (tableau.error_order + 1)
+        factor = min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * err ** exponent))
+    else:  # overflow in a trial stage: back off hard
+        factor = MIN_FACTOR
+    if accepted and rejected_before:
+        factor = min(1.0, factor)
+    stats.record(h, accepted)
+    return accepted, h * factor
 
 
 def _initial_step(fun, t0, y0, f0, t_end, tab, control, stats) -> float:
@@ -334,6 +303,10 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
     one the ``observer`` callback (if any) receives (t, y).  ``y`` is a work
     array that later steps overwrite, so an observer that keeps it must copy
     it.  The step size resumes its adaptive suggestion after a clipped step.
+    An output time within 1e-15 outside [t0, t_end] counts as the nearer end.
+
+    Each attempted step is one call of this module's ``step``, looked up at
+    call time, so a wrapper installed on the module sees every attempt.
     """
     if finite("t_end", t_end) < finite("t0", t0):
         raise ValueError("t_end must not precede t0")
@@ -345,6 +318,7 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
     for t in pending:
         if not t0 - 1e-15 <= t <= t_end + 1e-15:
             raise ValueError(f"output time {t} outside [{t0}, {t_end}]")
+    pending = [min(max(t, t0), t_end) for t in pending]
 
     t = t0
     while pending and pending[0] <= t0:
@@ -372,15 +346,14 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
         stop = pending[0] if pending else t_end
         clipped = t + h >= stop
         h_try = stop - t if clipped else h
-        res = step(fun, t, y, h_try, tableau, control, buffers,
-                   rejected_before=rejected, stats=stats)
-        if res.accepted:
-            t = stop if clipped else res.t_new
+        accepted, h_next = step(fun, t, y, h_try, tableau, control, buffers, stats, rejected)
+        if accepted:
+            t = stop if clipped else t + h_try
             y = buffers.accept(y)
             if not _all_finite(y):
                 raise NonFiniteStateError("state became non-finite", t)
             # resume the adaptive suggestion rather than the clipped size
-            h = res.h_next if not clipped else max(h, res.h_next)
+            h = max(h, h_next) if clipped else h_next
             rejected = False
             rejects_in_row = 0
             while pending and t >= pending[0]:
@@ -388,7 +361,7 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
                     observer(t, y)
                 pending.pop(0)
         else:
-            h = res.h_next
+            h = h_next
             rejected = True
             rejects_in_row += 1
             if rejects_in_row > MAX_REJECTS:

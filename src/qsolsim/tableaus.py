@@ -71,12 +71,6 @@ class Tableau:
     def n_stages(self) -> int:
         return self.b.size
 
-    @property
-    def bhat(self) -> np.ndarray:
-        """Weights of the embedded companion solution (over stages + new point)."""
-        b_ext = np.concatenate([self.b, [0.0]])
-        return b_ext - self.error_weights
-
 
 DORMAND_PRINCE_54 = Tableau(
     name="dp54",

@@ -423,6 +423,23 @@ class TestCommandLine:
         assert code == 0
         assert (tmp_path / "intensity_t0.csv").exists()
 
+    def test_dp54_run_agrees_with_dp853(self, tmp_path):
+        # the 5(4) pair reaches its single-estimate error norm only through
+        # an adaptive run; both pairs must meet the same tolerance
+        profiles = {}
+        for method in ("dp54", "dp853"):
+            out = tmp_path / method
+            code = main(["run", "--scenario", "intensity-weak-loss",
+                         "--override", "m=16", "--override", "t_end=0.2",
+                         "--override", "output_times=[0.2]",
+                         "--override", f'method="{method}"', "--out", str(out)])
+            assert code == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["integrator"]["method"] == method
+            profiles[method] = np.loadtxt(out / "intensity_t0.2.csv", delimiter=",",
+                                          skiprows=1)[:, 2]
+        np.testing.assert_allclose(profiles["dp54"], profiles["dp853"], rtol=1e-7)
+
     def test_scenario_and_config_conflict(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_config()))

@@ -76,9 +76,6 @@ VALID = {
     "squeezing_spectrum": (qsolsim.squeezing_spectrum, lambda: dict(
         state=thermal(), lo=qsolsim.LOPulse(np.ones(3)), omega_w0=np.array([0.0, 0.5]),
         phase=0.3)),
-    "step": (qsolsim.step, lambda: dict(
-        fun=decay, t=0.0, y=np.array([1.0, 2.0]), h=0.1,
-        tableau=qsolsim.DORMAND_PRINCE_54, control=qsolsim.StepControl())),
     "thermal_occupation": (qsolsim.thermal_occupation, lambda: dict(lambda_c=1.5e-6, T=300.0)),
     "thermal_state": (qsolsim.thermal_state, lambda: dict(grid=GRID, n_th=0.1, s=0.0)),
     "FockConfig": (fock.FockConfig, lambda: dict(

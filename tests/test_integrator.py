@@ -4,14 +4,17 @@ import pickle
 import numpy as np
 import pytest
 
-from qsolsim import _pair, dynamics
+from qsolsim import _pair, dynamics, integrator
 from qsolsim.dynamics import RHSCoefficients, propagate
 from qsolsim.integrator import (
     IntegrationError,
     NonFiniteStateError,
+    _Buffers,
     _combine,
+    _error_norm,
     StepControl,
     StepSizeUnderflow,
+    StepStats,
     integrate,
     integrate_fixed,
     step,
@@ -27,7 +30,7 @@ class TestTableaus:
         assert tab.b.sum() == pytest.approx(1.0, abs=1e-13)
         assert np.allclose(tab.a.sum(axis=1), tab.c, atol=1e-13)
         assert abs(tab.error_weights.sum()) < 1e-12
-        assert tab.bhat.shape == (tab.n_stages + 1,)
+        assert tab.error_weights.shape == (tab.n_stages + 1,)
 
     def test_rejects_implicit_tableau(self):
         with pytest.raises(ValueError):
@@ -36,27 +39,102 @@ class TestTableaus:
                     error_weights=np.array([0.0, 0.0]))
 
 
+def attempt(fun, y, h, tab, control):
+    """One step attempt from (0, y) as integrate makes it."""
+    buffers = _Buffers(y, tab)
+    fun(0.0, y, buffers.k[0])
+    stats = StepStats()
+    accepted, h_next = step(fun, 0.0, y, h, tab, control, buffers, stats, False)
+    return accepted, h_next, buffers, stats
+
+
 class TestStep:
     def test_constant_solution_zero_error(self):
         y0 = np.array([1.0, -2.0])
-        res = step(lambda t, y, out: out.fill(0.0), 0.0, y0, 0.5,
-                   DORMAND_PRINCE_853, StepControl())
-        assert res.accepted
-        assert res.error_norm == 0.0
-        assert np.array_equal(res.y_new, y0)
+        y = y0.copy()
+        accepted, h_next, buffers, stats = attempt(
+            lambda t, y, out: out.fill(0.0), y, 0.5, DORMAND_PRINCE_853, StepControl())
+        assert accepted and stats.n_accepted == 1
+        assert _error_norm(0.5, DORMAND_PRINCE_853, buffers) == 0.0
+        assert h_next == 0.5 * integrator.MAX_FACTOR
+        assert np.array_equal(buffers.y_new, y0) and np.array_equal(y, y0)
 
     def test_never_accepts_above_tolerance(self):
         # a deliberately huge step on a stiff-ish problem must be rejected
-        res = step(lambda t, y, out: np.multiply(y, -50.0, out=out), 0.0, np.array([1.0]), 2.0,
-                   DORMAND_PRINCE_54, StepControl(atol=1e-12, rtol=1e-12))
-        assert not res.accepted
-        assert res.h_next < 2.0
-        assert np.array_equal(res.y_new, [1.0])  # state untouched on rejection
+        y = np.array([1.0])
+        accepted, h_next, _, stats = attempt(
+            lambda t, y, out: np.multiply(y, -50.0, out=out), y, 2.0,
+            DORMAND_PRINCE_54, StepControl(atol=1e-12, rtol=1e-12))
+        assert not accepted and stats.n_rejected == 1
+        assert h_next < 2.0
+        assert np.array_equal(y, [1.0])  # state untouched on rejection
 
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            step(lambda t, y, out: np.copyto(out, y), 0.0, np.array([1.0]), 0.0,
-                 DORMAND_PRINCE_853, StepControl())
+    @pytest.mark.parametrize("tab", [DORMAND_PRINCE_54, DORMAND_PRINCE_853], ids=lambda t: t.name)
+    def test_factor_clamps_the_error_ratio(self, tab):
+        # an accepted attempt never shrinks the step below SAFETY * h, and a
+        # rejected one always shrinks it to between MIN_FACTOR and SAFETY
+        control = StepControl(atol=1e-10, rtol=1e-10)
+        outcomes = set()
+        for h in np.geomspace(1e-3, 5.0, 25):
+            y = np.array([1.0, -0.5])
+            accepted, h_next, buffers, _ = attempt(
+                lambda t, y, out: np.negative(y, out=out), y, h, tab, control)
+            err = _error_norm(h, tab, buffers)
+            factor = h_next / h
+            assert accepted == (err < 1.0)
+            assert factor == pytest.approx(min(integrator.MAX_FACTOR, max(
+                integrator.MIN_FACTOR, integrator.SAFETY * err ** (-1.0 / (tab.error_order + 1)))))
+            if accepted:
+                assert integrator.SAFETY < factor <= integrator.MAX_FACTOR
+            else:
+                assert integrator.MIN_FACTOR <= factor <= integrator.SAFETY
+            outcomes.add(accepted)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("tab", [DORMAND_PRINCE_54, DORMAND_PRINCE_853], ids=lambda t: t.name)
+    def test_non_finite_stage_rejects_with_min_factor(self, tab):
+        # an overflow in a trial stage gives a non-finite error: back off hard
+        y = np.array([1.0, 2.0])
+
+        def fun(t, y, out):
+            out.fill(math.inf if t > 0.0 else -1.0)
+
+        with np.errstate(all="ignore"):
+            accepted, h_next, _, stats = attempt(fun, y, 0.5, tab, StepControl())
+        assert not accepted and stats.n_rejected == 1
+        assert h_next == 0.5 * integrator.MIN_FACTOR
+        assert np.array_equal(y, [1.0, 2.0])
+
+    @pytest.mark.parametrize("tab", [DORMAND_PRINCE_54, DORMAND_PRINCE_853], ids=lambda t: t.name)
+    def test_no_growth_right_after_a_rejection(self, tab):
+        buffers = _Buffers(np.array([1.0]), tab)
+        y = np.array([1.0])
+        buffers.k[0].fill(0.0)
+        accepted, h_next = step(lambda t, y, out: out.fill(0.0), 0.0, y, 0.5, tab,
+                                StepControl(), buffers, StepStats(), True)
+        assert accepted and h_next == 0.5
+
+    def test_one_call_per_attempt(self, monkeypatch):
+        # integrate looks step up on the module at call time, so a wrapper
+        # installed there (as the benchmark tracer does) counts every attempt
+        calls = []
+        real_step = integrator.step
+
+        def counting_step(*args, **kwargs):
+            calls.append(args[1])
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "step", counting_step)
+
+        def fun(t, y, out):
+            np.multiply(y, -50.0 * math.cos(20.0 * t), out=out)
+
+        res = integrate(fun, np.array([1.0]), 0.0, 1.0, output_times=[0.3, 1.0],
+                        control=StepControl(atol=1e-10, rtol=1e-10))
+        assert res.stats.n_rejected > 0
+        assert len(calls) == res.stats.n_accepted + res.stats.n_rejected
+        # f(t0, y0) and the starting-step probe, then the stages of each attempt
+        assert res.stats.n_rhs == 2 + DORMAND_PRINCE_853.n_stages * len(calls)
 
 
 class TestIntegrate:
@@ -76,6 +154,31 @@ class TestIntegrate:
                         observer=lambda t, y: seen.append((t, y.copy())))
         assert res.t == 0.0 and res.y[0] == 3.0
         assert [(t, y.tolist()) for t, y in seen] == [(0.0, [3.0])]
+
+    def test_output_time_just_past_the_end_ends_at_the_end(self):
+        # an output time within the 1e-15 slack of the range check must not
+        # stretch the last step past t_end
+        seen = []
+        res = integrate(lambda t, y, out: np.negative(y, out=out), np.array([1.0]), 0.0, 1.0,
+                        output_times=[1.0 + 5e-16], observer=lambda t, y: seen.append(t))
+        assert res.t == 1.0
+        assert seen == [1.0]
+
+    def test_output_time_just_before_the_start_is_the_start(self):
+        seen = []
+        res = integrate(lambda t, y, out: np.negative(y, out=out), np.array([1.0]), 0.0, 1.0,
+                        output_times=[-5e-16],
+                        observer=lambda t, y: seen.append((t, y.tolist())))
+        assert res.t == 1.0
+        assert seen == [(0.0, [1.0])]
+
+    @pytest.mark.parametrize("tab", [DORMAND_PRINCE_54, DORMAND_PRINCE_853], ids=lambda t: t.name)
+    def test_both_pairs_meet_a_tight_tolerance(self, tab):
+        res = integrate(lambda t, y, out: np.negative(y, out=out), np.array([1.0]), 0.0, 2.0,
+                        tableau=tab, control=StepControl(atol=1e-12, rtol=1e-10))
+        assert res.t == 2.0
+        assert res.y[0] == pytest.approx(math.exp(-2.0), rel=1e-8)
+        assert res.stats.n_accepted > 0
 
     def test_rejects_non_finite_end(self):
         with pytest.raises(ValueError, match="finite"):
