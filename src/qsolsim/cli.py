@@ -40,11 +40,11 @@ from .dynamics import RHSCoefficients, propagate
 from .integrator import IntegrationError, StepControl
 from .observables import (
     LOPulse,
+    _eta_window,
     _omega_internal,
     ellipse_arrays,
     frequency_grid,
     intensity,
-    min_delta_omega,
     nr_arrays,
     photon_correlation,
     squeezing_spectrum,
@@ -162,8 +162,7 @@ def _resolve(cfg: dict) -> RunConfig:
         raise ConfigError(f"{mode} block: missing keys {sorted(missing)}")
     members = {f"{mode}.{key}": val for key, val in block.items()}
     for key in members:
-        _get(members, key, None, _NUMBER, "a number",
-             lambda v: "sign_" not in key or v in (-1, 1), "must be +1 or -1")
+        _get(members, key, None, _NUMBER, "a number")
     n_th = _get(cfg, "n_th", None, _NUMBER, "a number")
 
     scaled = derive_scales(_ROUTES[mode](**block), grid, n_th=n_th)
@@ -209,10 +208,8 @@ def _resolve(cfg: dict) -> RunConfig:
         omega = np.linspace(float(omin), float(omax), onum)
         _omega_internal(grid, omega)  # the observables' sampling-bound check
 
-    eta_min = min_delta_omega(grid)
-    eta_window = float(_get(cfg, "eta_window", eta_min, _NUMBER, "a number",
-                            lambda v: v >= eta_min * (1 - 1e-9),
-                            f"must be >= the minimal resolvable {eta_min:g} (w0 units)"))
+    eta_window = _eta_window(grid, _get(cfg, "eta_window", None, _NUMBER, "a number"),
+                             "eta_window")
 
     lo_re, lo_im = (_get(cfg, key, None, list, "a list",
                          lambda v: len(v) == grid.m and all(map(_is_number, v)),
@@ -287,6 +284,7 @@ def load_state(path) -> CumulantState:
             rec = np.load(fh, allow_pickle=False)
         if not (isinstance(rec, np.ndarray) and rec.shape == ()
                 and rec.dtype.names == _state_dtype(1).names
+                and rec.dtype["m"] == np.dtype("<i8")  # before int(): a float m may be inf
                 and rec["format"] == _STATE_TAG
                 and rec.dtype == _state_dtype(int(rec["m"]))):
             raise ValueError("not a state record")

@@ -122,7 +122,8 @@ class _Buffers:
     only rows 1..n_stages, and ``accept`` moves the last stage (the
     derivative at the new y) into row 0.  ``vec`` holds each stage argument
     and then the error vector; ``y_new`` and the caller's y swap roles on
-    acceptance.
+    acceptance.  ``scale`` and ``y_new_finite`` are the error scale and the
+    finiteness of the last ``y_new`` that ``step`` formed.
     """
 
     def __init__(self, y: np.ndarray, tab: Tableau):
@@ -130,6 +131,7 @@ class _Buffers:
         self.vec = np.empty_like(y)
         self.y_new = np.empty_like(y)
         self.scale = np.empty(y.shape, dtype=y.real.dtype)
+        self.y_new_finite = True
 
     def accept(self, y: np.ndarray) -> np.ndarray:
         """Make the step just taken the starting point; returns the new y."""
@@ -146,19 +148,10 @@ class _Buffers:
 _ALIGN = 64
 
 
-def _split(n: int, part) -> None:
-    """Run ``part(lo, hi)`` over [0, cut) and [cut, n) as a pair, or once
-    over [0, n) when the aligned cut is 0."""
-    cut = (n // 2) // _ALIGN * _ALIGN
-    if cut == 0:
-        part(0, n)
-    else:
-        run_pair(lambda: part(0, cut), lambda: part(cut, n))
-
-
 def _combine(k: np.ndarray, w: np.ndarray, out: np.ndarray, then=None) -> np.ndarray:
-    """out = k.T @ w, one gemv per range of ``_split``; ``then(lo, hi)``
-    finishes each range on the same thread right after its gemv.
+    """out = k.T @ w, one gemv per range, the two ranges as a pair (one range
+    when the aligned cut is 0); ``then(lo, hi)`` finishes each range on the
+    same thread right after its gemv.
 
     With one row, matmul bypasses BLAS and evaluates 0 + k[0] * w[0], about
     ten times slower than the two vector passes that give the same bits.
@@ -172,15 +165,23 @@ def _combine(k: np.ndarray, w: np.ndarray, out: np.ndarray, then=None) -> np.nda
         if then is not None:
             then(lo, hi)
 
-    _split(out.size, part)
+    n = out.size
+    cut = (n // 2) // _ALIGN * _ALIGN
+    if cut == 0:
+        part(0, n)
+    else:
+        run_pair(lambda: part(0, cut), lambda: part(cut, n))
     return out
 
 
-def _stages(fun, t, y, h, tab: Tableau, buf: _Buffers) -> np.ndarray:
+def _stages(fun, t, y, h, tab: Tableau, buf: _Buffers, control: StepControl | None = None):
     """Evaluate stages 1..n_stages into buf.k and y + h*sum(b k) into buf.y_new.
 
     buf.k[0] must hold fun(t, y).  Every stage combination is a matrix-vector
     product (``_combine``) scaled by h and then added to y, in that order.
+    With ``control``, each range of the pass that forms y_new goes on to write
+    atol + rtol * max(|y|, |y_new|) into buf.scale (buf.vec, which ``fun``
+    has read, holds |y_new|) and whether y_new is finite into buf.y_new_finite.
     """
     ns = tab.n_stages
     k, dy, y_new = buf.k, buf.vec, buf.y_new
@@ -191,12 +192,24 @@ def _stages(fun, t, y, h, tab: Tableau, buf: _Buffers) -> np.ndarray:
             out[lo:hi] += y[lo:hi]
         return then
 
+    def finish(lo, hi):  # y_new, then its error scale and finiteness
+        advance(y_new)(lo, hi)
+        sc = np.abs(y[lo:hi], out=buf.scale[lo:hi])
+        np.maximum(sc, np.abs(y_new[lo:hi], out=dy.real[lo:hi]), out=sc)
+        sc *= control.rtol
+        sc += control.atol
+        if not np.isfinite(y_new[lo:hi]).all():
+            buf.y_new_finite = False
+
     for i in range(1, ns):
         _combine(k[:i], tab.a[i, :i], dy, advance(dy))
         fun(t + tab.c[i] * h, dy, k[i])
-    _combine(k[:ns], tab.b, y_new, advance(y_new))
+    if control is None:
+        _combine(k[:ns], tab.b, y_new, advance(y_new))
+    else:
+        buf.y_new_finite = True
+        _combine(k[:ns], tab.b, y_new, finish)
     fun(t + h, y_new, k[ns])
-    return y_new
 
 
 def _error_norm(h, tab: Tableau, buf: _Buffers) -> float:
@@ -216,37 +229,18 @@ def _error_norm(h, tab: Tableau, buf: _Buffers) -> float:
     return abs(h) * e2 / math.sqrt((e2 + 0.01 * e2_low) * err.size)
 
 
-def _all_finite(y: np.ndarray) -> bool:
-    ok = {}
-
-    def check(lo, hi):
-        ok[lo] = bool(np.isfinite(y[lo:hi]).all())
-
-    _split(y.size, check)
-    return all(ok.values())
-
-
 def step(fun, t: float, y: np.ndarray, h: float, tableau: Tableau, control: StepControl,
          buffers: _Buffers, stats: StepStats, rejected_before: bool) -> tuple[bool, float]:
     """Attempt one step of ``integrate`` of size h; returns (accepted, h_next).
 
     ``buffers`` hold the derivative at (t, y) in stage row 0; the attempt
-    leaves y + h*sum(b k) in ``buffers.y_new`` and y untouched.  An attempt
-    whose error estimate exceeds tolerance is rejected with a reduced
-    ``h_next`` for ``integrate`` to retry; after a rejection the step does
-    not grow.
+    leaves y + h*sum(b k) in ``buffers.y_new``, whether it is finite in
+    ``buffers.y_new_finite``, and y untouched.  An attempt whose error
+    estimate exceeds tolerance is rejected with a reduced ``h_next`` for
+    ``integrate`` to retry; after a rejection the step does not grow.
     """
-    y_new = _stages(fun, t, y, h, tableau, buffers)
+    _stages(fun, t, y, h, tableau, buffers, control)
     stats.n_rhs += tableau.n_stages
-    scale, vec = buffers.scale, buffers.vec
-
-    def error_scale(lo, hi):  # atol + rtol * max(|y|, |y_new|)
-        sc = np.abs(y[lo:hi], out=scale[lo:hi])
-        np.maximum(sc, np.abs(y_new[lo:hi], out=vec.real[lo:hi]), out=sc)
-        sc *= control.rtol
-        sc += control.atol
-
-    _split(y.size, error_scale)
     err = _error_norm(h, tableau, buffers)
     accepted = err < 1.0  # False for NaN
     if err == 0.0:
@@ -350,7 +344,7 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
         if accepted:
             t = stop if clipped else t + h_try
             y = buffers.accept(y)
-            if not _all_finite(y):
+            if not buffers.y_new_finite:
                 raise NonFiniteStateError("state became non-finite", t)
             # resume the adaptive suggestion rather than the clipped size
             h = max(h, h_next) if clipped else h_next

@@ -79,7 +79,6 @@ class SpectrumResult:
     s_min: np.ndarray       # phase-optimized minimum
     phi_opt: np.ndarray     # optimal phase per frequency
     i0: float               # normalization (LO + signal photon flux)
-    phase: str | float = "optimal"
 
 
 @dataclass(frozen=True)
@@ -156,6 +155,18 @@ def min_delta_omega(grid: GridSpec) -> float:
     return 2.0 * math.pi / (grid.m * grid.dx) / OMEGA_UNIT
 
 
+def _eta_window(grid: GridSpec, delta_omega: float | None, name: str) -> float:
+    """The photon-correlation window: the minimal resolvable one by default,
+    never below it (to 1e-9 relative)."""
+    d_min = min_delta_omega(grid)
+    if delta_omega is None:
+        return d_min
+    if not finite(name, delta_omega) >= d_min * (1.0 - 1e-9):
+        raise ValueError(f"{name} = {delta_omega:g} is below the minimal "
+                         f"resolvable window {d_min:g} (w0 units)")
+    return float(delta_omega)
+
+
 def _omega_internal(grid: GridSpec, omega_w0) -> np.ndarray:
     omega = finite("omega_w0", np.atleast_1d(np.asarray(omega_w0, dtype=float))) * OMEGA_UNIT
     bound = math.pi / grid.dx
@@ -220,7 +231,7 @@ def squeezing_spectrum(state: CumulantState, lo: LOPulse, omega_w0,
         s = 2.0 * np.real(f_l + np.exp(2j * float(phase)) * g_l) / i0
     return SpectrumResult(
         omega=np.atleast_1d(np.asarray(omega_w0, dtype=float)),
-        s=s, s_min=s_min, phi_opt=phi_opt, i0=float(i0), phase=phase,
+        s=s, s_min=s_min, phi_opt=phi_opt, i0=float(i0),
     )
 
 
@@ -234,12 +245,7 @@ def photon_correlation(state: CumulantState, omega_w0,
     windows.
     """
     grid = state.grid
-    d_min = min_delta_omega(grid)
-    if delta_omega is None:
-        delta_omega = d_min
-    if not finite("delta_omega", delta_omega) >= d_min * (1.0 - 1e-9):
-        raise ValueError(f"window {delta_omega:g} below the minimal "
-                         f"resolvable {d_min:g} (w0 units)")
+    delta_omega = _eta_window(grid, delta_omega, "delta_omega")
     omega = _omega_internal(grid, omega_w0)
     d_omega_int = delta_omega * OMEGA_UNIT
     x = grid.positions()
@@ -266,6 +272,6 @@ def photon_correlation(state: CumulantState, omega_w0,
         omega=np.atleast_1d(np.asarray(omega_w0, dtype=float)),
         eta=eta,
         mean_photon=n_mean,
-        delta_omega=float(delta_omega),
+        delta_omega=delta_omega,
         n_undefined=int(np.sum(~np.isfinite(eta))),
     )

@@ -31,13 +31,11 @@ class Tableau:
 
     ``error_weights`` (and the optional ``error_weights_low`` of a damped
     two-estimate scheme) have length n_stages + 1; the last entry weights the
-    derivative at the accepted point.  ``order`` is the order of the
-    propagated solution, ``error_order`` the order of the error estimator
-    used in the step-size controller exponent.
+    derivative at the accepted point.  ``error_order`` is the order of the
+    error estimator used in the step-size controller exponent.
     """
 
     name: str
-    order: int
     error_order: int
     a: np.ndarray
     b: np.ndarray
@@ -74,7 +72,6 @@ class Tableau:
 
 DORMAND_PRINCE_54 = Tableau(
     name="dp54",
-    order=5,
     error_order=4,
     a=np.array([
         [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -94,7 +91,6 @@ DORMAND_PRINCE_54 = Tableau(
 
 DORMAND_PRINCE_853 = Tableau(
     name="dp853",
-    order=8,
     error_order=7,
     a=np.array([
         [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],

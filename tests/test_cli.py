@@ -229,6 +229,14 @@ class TestArtifacts:
             rec[field].flat[-1] = bad
             corrupt.append(tmp_path / f"corrupt_{field}.npy")
             np.save(corrupt[-1], rec)
+        # the header's m as a float: inf must not escape as OverflowError
+        fields = [(name, "<f8" if name == "m" else record.dtype.fields[name][0])
+                  for name in record.dtype.names]
+        float_m = np.zeros((), dtype=fields)
+        float_m["format"] = b"qsolsim-state-v2"
+        float_m["m"] = math.inf
+        corrupt.append(tmp_path / "float_m.npy")
+        np.save(corrupt[-1], float_m)
         data = good.read_bytes()
         truncated = []
         for size in (0, 10, 100, len(data) - 8):

@@ -34,7 +34,7 @@ class TestTableaus:
 
     def test_rejects_implicit_tableau(self):
         with pytest.raises(ValueError):
-            Tableau(name="bad", order=1, error_order=1,
+            Tableau(name="bad", error_order=1,
                     a=np.array([[0.5]]), b=np.array([1.0]), c=np.array([0.5]),
                     error_weights=np.array([0.0, 0.0]))
 
@@ -113,6 +113,23 @@ class TestStep:
         accepted, h_next = step(lambda t, y, out: out.fill(0.0), 0.0, y, 0.5, tab,
                                 StepControl(), buffers, StepStats(), True)
         assert accepted and h_next == 0.5
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_error_scale_comes_with_y_new(self, monkeypatch, dtype):
+        # the pass that forms y_new writes atol + rtol * max(|y|, |y_new|),
+        # on both ranges of the cut
+        monkeypatch.setattr(_pair, "_cpu_count", lambda: 2)
+        rng = np.random.default_rng(7)
+        y = rng.normal(size=1001).astype(dtype)
+        if dtype is complex:
+            y += 1j * rng.normal(size=y.size)
+        control = StepControl(atol=1e-7, rtol=3e-5)
+        y0 = y.copy()
+        _, _, buffers, _ = attempt(lambda t, y, out: np.multiply(y, -0.7, out=out),
+                                   y, 0.3, DORMAND_PRINCE_853, control)
+        expected = control.atol + control.rtol * np.maximum(np.abs(y0), np.abs(buffers.y_new))
+        assert buffers.scale.tobytes() == expected.tobytes()
+        assert buffers.y_new_finite and np.array_equal(y, y0)
 
     def test_one_call_per_attempt(self, monkeypatch):
         # integrate looks step up on the module at call time, so a wrapper
