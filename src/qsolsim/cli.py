@@ -351,12 +351,14 @@ class _Side(NamedTuple):
 
 
 def _run_trajectory(rc: RunConfig, s: float) -> _Side:
-    """Propagate the run at ordering ``s`` and evaluate its observables."""
+    """Propagate the run at ordering ``s`` to its last output time and evaluate
+    its observables."""
     if rc.initial == "soliton":
         state0 = fundamental_soliton(rc.grid, rc.scaled.n0, rc.scaled.n_th, s)
     else:
         state0 = thermal_state(rc.grid, rc.scaled.n_th, s)
-    states, stats = propagate(state0, rc.coeffs, rc.t_end, output_times=rc.output_times,
+    states, stats = propagate(state0, rc.coeffs, rc.output_times[-1],
+                              output_times=rc.output_times,
                               tableau=TABLEAUS[rc.method], control=rc.control)
     return _Side(states, stats, [_observable_results(rc, state) for state in states])
 

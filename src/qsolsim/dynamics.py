@@ -145,12 +145,11 @@ def lap_rows(mat: np.ndarray, boundary: str, out=None) -> np.ndarray:
 def rhs_scratch(m: int) -> np.ndarray:
     """Work blocks for ``rhs(..., scratch=)``; reusable across states of size m.
 
-    Seven m x m blocks: two shared by both halves of the second-order
-    assembly (h[j] + h[k] and the phase rotation of cuv), two temporaries per
-    half and the periodic stencil's neighbour sum, of which each half writes
-    only its own rows.
+    Five m x m blocks: two temporaries per half of the second-order assembly
+    and the periodic stencil's neighbour sum, of which each half writes only
+    its own rows.
     """
-    return np.empty((7, m, m))
+    return np.empty((5, m, m))
 
 
 def _local_factors(state: CumulantState):
@@ -194,22 +193,20 @@ def _first_order(state: CumulantState, coeffs: RHSCoefficients, factors):
 class _SecondOrder:
     """The second-order assembly of one state, split into independent parts.
 
-    Construction takes the local Kerr factors (``_local_factors``) and the
-    two blocks that every part shares; ``shared_rows`` fills a row range of
-    them with hsum = h[j] + h[k] and rot_uv = dw * (cuv + cuv^T).  Once all
-    their rows are written, ``mirror_block`` writes the uu or vv block and
-    ``uv_rows`` a row range of the uv block; parts that are given their own
-    temporaries may run concurrently.  Every term is the same sequence of
-    floating-point operations as a term-by-term evaluation, so results do
-    not depend on buffers, row ranges or threads.  Each term of a mirror
-    block is exactly symmetric when cuu and cvv are, and so is their sum.
-    The v-u cross block is cuv.T, and the stencil in the first slot of a
-    transposed block equals the transpose of the stencil in the second slot
+    Construction takes the local Kerr factors (``_local_factors``);
+    ``mirror_block`` writes the uu or vv block and ``uv_rows`` a row range of
+    the uv block, and parts that are given their own temporaries may run
+    concurrently.  Every term is the same sequence of floating-point
+    operations as a term-by-term evaluation, so results do not depend on
+    buffers, row ranges or threads.  Each term of a mirror block is exactly
+    symmetric when cuu and cvv are, and so is their sum.  The v-u cross
+    block is cuv.T, and the stencil in the first slot of a transposed block
+    equals the transpose of the stencil in the second slot
     (lapL(M.T) = lapR(M).T), so each Laplacian is evaluated once and reused
     transposed.
     """
 
-    def __init__(self, state: CumulantState, coeffs: RHSCoefficients, factors, hsum, rot_uv):
+    def __init__(self, state: CumulantState, coeffs: RHSCoefficients, factors):
         self.state = state
         self.bnd = state.grid.boundary
         diag_uu, diag_vv, _, self.g1, self.g2, self.h = factors
@@ -218,14 +215,6 @@ class _SecondOrder:
         self.src = coeffs.thermal_src(state.s)
         self.sx = state.s * self.x
         self.uv_diag = 0.5 * self.sx * (state.cv ** 2 + diag_vv - state.cu ** 2 - diag_uu)
-        self.hsum, self.rot_uv = hsum, rot_uv
-
-    def shared_rows(self, lo: int, hi: int) -> None:
-        """Rows [lo, hi) of hsum and rot_uv."""
-        rows, cuv = slice(lo, hi), self.state.cuv
-        np.add(self.h[rows, None], self.h[None, :], out=self.hsum[rows])
-        rot = np.add(cuv[rows], cuv[:, rows].T, out=self.rot_uv[rows])
-        rot *= self.dw
 
     def mirror_block(self, sign: int, out, tmp, acc) -> None:
         """The uu (sign +1) or vv (sign -1) block: source + decay, phase
@@ -242,10 +231,11 @@ class _SecondOrder:
         else:
             axis, cxx, kerr = 0, st.cvv, self.g2[:, None]
         rotate = np.add if sign > 0 else np.subtract
+        rot = np.add(st.cuv, st.cuv.T, out=acc)
+        rot *= self.dw
         # source +- rotation on the diagonal, 0 +- rotation off it: one pass
-        rotate(0.0, self.rot_uv, out=out)
-        np.fill_diagonal(out, rotate(self.src + (sign * self.sx) * self.h,
-                                     np.diagonal(self.rot_uv)))
+        rotate(0.0, rot, out=out)
+        np.fill_diagonal(out, rotate(self.src + (sign * self.sx) * self.h, np.diagonal(rot)))
         out -= np.multiply(cxx, self.two_gamma, out=tmp)
         _lap(st.cuv, axis, self.bnd, tmp, acc)
         np.add(tmp, tmp.T, out=acc)
@@ -255,7 +245,8 @@ class _SecondOrder:
         np.add(tmp, tmp.T, out=acc)
         acc *= sign * x
         out += acc
-        np.multiply(cxx, self.hsum, out=tmp)
+        np.add(self.h[:, None], self.h[None, :], out=tmp)
+        tmp *= cxx
         tmp *= sign * 2.0 * x
         out += tmp
 
@@ -292,9 +283,8 @@ def second_order_asymmetry(state: CumulantState, coeffs: RHSCoefficients) -> flo
     """Max relative asymmetry of the uu/vv derivatives as assembled term by
     term; 0 when cuu and cvv are exactly symmetric."""
     m = state.grid.m
-    hsum, rot_uv, mat, tmp, acc = np.empty((5, m, m))
-    parts = _SecondOrder(state, coeffs, _local_factors(state), hsum, rot_uv)
-    parts.shared_rows(0, m)
+    mat, tmp, acc = np.empty((3, m, m))
+    parts = _SecondOrder(state, coeffs, _local_factors(state))
     out = 0.0
     for sign in (1, -1):
         parts.mirror_block(sign, mat, tmp, acc)
@@ -312,8 +302,7 @@ def rhs(state: CumulantState, coeffs: RHSCoefficients, out: np.ndarray | None = 
     temporaries live in ``scratch`` (``rhs_scratch(m)``).  Either is
     allocated when not given, so repeated calls with both given allocate no
     m x m array.  The second-order blocks are assembled as two fixed halves,
-    concurrently when the process may use two CPUs (``_pair.run_pair``),
-    after the blocks both halves read, which are split the same way; the
+    concurrently when the process may use two CPUs (``_pair.run_pair``); the
     result is the same either way.  The uu/vv blocks are assembled straight
     into ``out``, with no symmetrizing pass, and come out exactly symmetric
     when cuu and cvv are.  The constructors and ``reorder_s`` build them
@@ -331,15 +320,14 @@ def rhs(state: CumulantState, coeffs: RHSCoefficients, out: np.ndarray | None = 
     deriv = CumulantDerivative(*split_flat(out, m))
     factors = _local_factors(state)
     deriv.cu[...], deriv.cv[...] = _first_order(state, coeffs, factors)
-    hsum, rot_uv, spare, tmp_a, acc_a, tmp_b, acc_b = scratch
-    parts = _SecondOrder(state, coeffs, factors, hsum, rot_uv)
+    spare, tmp_a, acc_a, tmp_b, acc_b = scratch
+    parts = _SecondOrder(state, coeffs, factors)
 
     def half(sign, block, lo, hi, tmp, acc):
         parts.mirror_block(sign, block, tmp, acc)
         parts.uv_rows(lo, hi, deriv.cuv, tmp, acc, spare)
 
     cut = m // 2
-    run_pair(lambda: parts.shared_rows(0, cut), lambda: parts.shared_rows(cut, m))
     run_pair(lambda: half(1, deriv.cuu, 0, cut, tmp_a, acc_a),
              lambda: half(-1, deriv.cvv, cut, m, tmp_b, acc_b))
     return deriv

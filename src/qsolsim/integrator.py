@@ -174,14 +174,14 @@ def _combine(k: np.ndarray, w: np.ndarray, out: np.ndarray, then=None) -> np.nda
     return out
 
 
-def _stages(fun, t, y, h, tab: Tableau, buf: _Buffers, control: StepControl | None = None):
+def _stages(fun, t, y, h, tab: Tableau, buf: _Buffers, control: StepControl):
     """Evaluate stages 1..n_stages into buf.k and y + h*sum(b k) into buf.y_new.
 
     buf.k[0] must hold fun(t, y).  Every stage combination is a matrix-vector
     product (``_combine``) scaled by h and then added to y, in that order.
-    With ``control``, each range of the pass that forms y_new goes on to write
-    atol + rtol * max(|y|, |y_new|) into buf.scale (buf.vec, which ``fun``
-    has read, holds |y_new|) and whether y_new is finite into buf.y_new_finite.
+    Each range of the pass that forms y_new goes on to write
+    atol + rtol * max(|y|, |y_new|) into buf.scale (buf.vec, which ``fun`` has
+    read, holds |y_new|) and whether y_new is finite into buf.y_new_finite.
     """
     ns = tab.n_stages
     k, dy, y_new = buf.k, buf.vec, buf.y_new
@@ -204,11 +204,8 @@ def _stages(fun, t, y, h, tab: Tableau, buf: _Buffers, control: StepControl | No
     for i in range(1, ns):
         _combine(k[:i], tab.a[i, :i], dy, advance(dy))
         fun(t + tab.c[i] * h, dy, k[i])
-    if control is None:
-        _combine(k[:ns], tab.b, y_new, advance(y_new))
-    else:
-        buf.y_new_finite = True
-        _combine(k[:ns], tab.b, y_new, finish)
+    buf.y_new_finite = True
+    _combine(k[:ns], tab.b, y_new, finish)
     fun(t + h, y_new, k[ns])
 
 
@@ -374,9 +371,10 @@ def integrate_fixed(fun, y0: np.ndarray, t0: float, t_end: float, n_steps: int,
     h = (finite("t_end", t_end) - finite("t0", t0)) / n_steps
     t = t0
     buffers = _Buffers(y, tableau)
+    control = StepControl()  # shapes the error scale _stages forms; unread here
     fun(t, y, buffers.k[0])
     for _ in range(n_steps):
-        _stages(fun, t, y, h, tableau, buffers)
+        _stages(fun, t, y, h, tableau, buffers, control)
         y = buffers.accept(y)
         t += h
     return y

@@ -448,6 +448,20 @@ class TestCommandLine:
                                           skiprows=1)[:, 2]
         np.testing.assert_allclose(profiles["dp54"], profiles["dp853"], rtol=1e-7)
 
+    def test_run_stops_at_its_last_output_time(self, tmp_path):
+        # a t_end beyond the last output time adds no integration work
+        manifests = {}
+        for t_end in (0.01, 1.0):
+            out = tmp_path / f"t{t_end:g}"
+            code = main(["run", "--scenario", "intensity-weak-loss",
+                         "--override", "m=16", "--override", f"t_end={t_end}",
+                         "--override", "output_times=[0.01]", "--out", str(out)])
+            assert code == 0
+            manifests[t_end] = json.loads((out / "manifest.json").read_text())
+        stats = [manifests[t]["integrator"]["stats"] for t in (0.01, 1.0)]
+        assert stats[0] == stats[1]
+        assert [o["t"] for o in manifests[1.0]["outputs"]] == [0.01] * 2
+
     def test_scenario_and_config_conflict(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_config()))

@@ -181,6 +181,21 @@ class TestStructuralInvariants:
         rhs(state, coeffs_for(state))
         assert len(calls) == 1
 
+    def test_rhs_hands_off_once_per_evaluation(self, monkeypatch):
+        # each second-order half builds every block it reads, so the two
+        # halves are the only handoff to the pair worker
+        calls = []
+        real = dynamics.run_pair
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(dynamics, "run_pair", counting)
+        state = random_state(m=41)
+        rhs(state, coeffs_for(state))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("boundary", ["absorbing", "periodic"])
     @pytest.mark.parametrize("s", [-0.7, 0.0, 0.85])
     @pytest.mark.parametrize("m", [1, 2, 7, 40, 41])
@@ -191,10 +206,8 @@ class TestStructuralInvariants:
         state = random_state(m=m, s=s, boundary=boundary, seed=m, scale=2.0)
         coeffs = coeffs_for(state)
         deriv = rhs(state, coeffs)
-        hsum, rot_uv, mat, tmp, acc = np.full((5, m, m), np.nan)
-        parts = dynamics._SecondOrder(state, coeffs, dynamics._local_factors(state),
-                                      hsum, rot_uv)
-        parts.shared_rows(0, m)
+        mat, tmp, acc = np.full((3, m, m), np.nan)
+        parts = dynamics._SecondOrder(state, coeffs, dynamics._local_factors(state))
         for sign, block in ((1, deriv.cuu), (-1, deriv.cvv)):
             parts.mirror_block(sign, mat, tmp, acc)
             assert block.tobytes() == mat.tobytes()
