@@ -58,7 +58,8 @@ from .params import (
     rhs_coefficients,
 )
 from .scenarios import SCENARIOS, format_scenario_table, scenario_config
-from .state import CumulantState, GridSpec, fundamental_soliton, reorder_s, thermal_state, validate
+from .state import (CumulantState, GridSpec, _ordering, fundamental_soliton, reorder_s,
+                    thermal_state, validate)
 from .tableaus import TABLEAUS
 
 OBSERVABLES = ("intensity", "ellipses", "nrparams", "spectrum", "eta")
@@ -144,8 +145,7 @@ def _resolve(cfg: dict) -> RunConfig:
     grid = GridSpec(m=_get(cfg, "m", 200, int, "an integer"),
                     dx=float(_get(cfg, "dx", 0.1, _NUMBER, "a number")),
                     boundary=_get(cfg, "boundary", "absorbing", str, "a string"))
-    s = float(_get(cfg, "s", 0.0, _NUMBER, "a number",
-                   lambda v: -1 <= v <= 1, "must lie in [-1, 1]"))
+    s = _ordering(float(_get(cfg, "s", 0.0, _NUMBER, "a number")))
 
     modes = [name for name in _ROUTES if cfg.get(name) is not None]
     if len(modes) != 1:
@@ -228,10 +228,10 @@ def _resolve(cfg: dict) -> RunConfig:
                           rtol=float(_get(cfg, "rtol", 1e-9, _NUMBER, "a number")))
 
     s_pair = _get(cfg, "s_pair", None, list, "a list",
-                  lambda v: len(v) == 2 and all(_is_number(x) and -1 <= x <= 1 for x in v),
-                  "must be a pair of ordering parameters in [-1, 1]")
+                  lambda v: len(v) == 2 and all(map(_is_number, v)),
+                  "must be a pair of numbers")
     if s_pair is not None:
-        s_pair = [float(v) for v in s_pair]
+        s_pair = [_ordering(float(v), "s_pair") for v in s_pair]
         if s_pair[0] != s:
             raise ConfigError("key 's_pair': first entry must equal 's'")
 

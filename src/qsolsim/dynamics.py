@@ -94,50 +94,41 @@ class RHSCoefficients:
 
 # -- boundary-aware stencils -------------------------------------------------
 
-def _lap(f: np.ndarray, axis: int, boundary: str, out=None, tmp=None,
-         lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """f(j+1) - 2 f(j) + f(j-1) along ``axis``, written into ``out``.
+def lap_rows(f: np.ndarray, boundary: str, out=None, tmp=None,
+             lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """f(j+1) - 2 f(j) + f(j-1) along the first (row) index, written into ``out``.
 
-    Only the indices [lo, hi) along ``axis`` of ``out`` are written (all of
-    them by default), each with the same operations whatever the range:
-    (-2 f + f(j+1)) + f(j-1) for absorbing walls, -2 f + (f(j-1) + f(j+1))
-    with wrapped neighbours for a periodic grid.  A periodic stencil needs
-    ``tmp`` (same shape as f) for the neighbour sum; both buffers are
-    allocated when not given.
+    Only rows [lo, hi) of ``out`` are written (all of them by default), each
+    with the same operations whatever the range: (-2 f + f(j+1)) + f(j-1)
+    for absorbing walls, -2 f + (f(j-1) + f(j+1)) with wrapped neighbours
+    for a periodic grid.  A periodic stencil needs ``tmp`` (same shape as f)
+    for the neighbour sum; both buffers are allocated when not given.  The
+    stencil along the second index is this one on transposed views of f,
+    ``out`` and ``tmp``.
     """
     if out is None:
         out = np.empty_like(f)
     if tmp is None and boundary == "periodic":
         tmp = np.empty_like(f)
-
-    def at(start, stop):  # the index range [start, stop) along ``axis``
-        return (slice(None),) * axis + (slice(start, stop),)
-
-    n = f.shape[axis]
+    n = len(f)
     hi = n if hi is None else hi
-    np.multiply(f[at(lo, hi)], -2.0, out=out[at(lo, hi)])
+    a, b = max(lo, 1), min(hi, n - 1)
+    np.multiply(f[lo:hi], -2.0, out=out[lo:hi])
     if boundary == "periodic":
         # tmp = roll(f, 1) + roll(f, -1), built from slices instead of copies
-        a, b = max(lo, 1), min(hi, n - 1)
         if a < b:
-            np.add(f[at(a - 1, b - 1)], f[at(a + 1, b + 1)], out=tmp[at(a, b)])
+            np.add(f[a - 1:b - 1], f[a + 1:b + 1], out=tmp[a:b])
         if lo == 0 < hi:
-            np.add(f[at(n - 1, n)], f[at(1 % n, 1 % n + 1)], out=tmp[at(0, 1)])
+            np.add(f[n - 1:], f[1 % n:1 % n + 1], out=tmp[:1])
         if lo < hi == n:
-            np.add(f[at((n - 2) % n, (n - 2) % n + 1)], f[at(0, 1)], out=tmp[at(n - 1, n)])
-        out[at(lo, hi)] += tmp[at(lo, hi)]
+            np.add(f[(n - 2) % n:(n - 2) % n + 1], f[:1], out=tmp[n - 1:])
+        out[lo:hi] += tmp[lo:hi]
     else:  # absorbing: out-of-range cells read as zero
-        a, b = max(lo, 1), min(hi, n - 1)
         if lo < b:
-            out[at(lo, b)] += f[at(lo + 1, b + 1)]
+            out[lo:b] += f[lo + 1:b + 1]
         if a < hi:
-            out[at(a, hi)] += f[at(a - 1, hi - 1)]
+            out[a:hi] += f[a - 1:hi - 1]
     return out
-
-
-def lap_rows(mat: np.ndarray, boundary: str, out=None) -> np.ndarray:
-    """Laplacian stencil applied to the first (row) index of a vector or matrix."""
-    return _lap(mat, 0, boundary, out)
 
 
 # -- right-hand sides --------------------------------------------------------
@@ -145,11 +136,10 @@ def lap_rows(mat: np.ndarray, boundary: str, out=None) -> np.ndarray:
 def rhs_scratch(m: int) -> np.ndarray:
     """Work blocks for ``rhs(..., scratch=)``; reusable across states of size m.
 
-    Five m x m blocks: two temporaries per half of the second-order assembly
-    and the periodic stencil's neighbour sum, of which each half writes only
-    its own rows.
+    Four m x m blocks, two temporaries for each half of the second-order
+    assembly; no block is written by both halves.
     """
-    return np.empty((5, m, m))
+    return np.empty((4, m, m))
 
 
 def _local_factors(state: CumulantState):
@@ -174,7 +164,7 @@ def _first_order(state: CumulantState, coeffs: RHSCoefficients, factors):
     dcu = (
         -coeffs.gamma_t * cu
         + coeffs.delta_omega_t * cv
-        - coeffs.d2 * _lap(cv, 0, bnd)
+        - coeffs.d2 * lap_rows(cv, bnd)
         + x * cv * amp2
         + x * cv * (s1 + duu + 3.0 * dvv)
         + 2.0 * x * cu * duv
@@ -182,7 +172,7 @@ def _first_order(state: CumulantState, coeffs: RHSCoefficients, factors):
     dcv = (
         -coeffs.gamma_t * cv
         - coeffs.delta_omega_t * cu
-        + coeffs.d2 * _lap(cu, 0, bnd)
+        + coeffs.d2 * lap_rows(cu, bnd)
         - x * cu * amp2
         - x * cu * (s1 + 3.0 * duu + dvv)
         - 2.0 * x * cv * duv
@@ -196,14 +186,15 @@ class _SecondOrder:
     Construction takes the local Kerr factors (``_local_factors``);
     ``mirror_block`` writes the uu or vv block and ``uv_rows`` a row range of
     the uv block, and parts that are given their own temporaries may run
-    concurrently.  Every term is the same sequence of floating-point
-    operations as a term-by-term evaluation, so results do not depend on
-    buffers, row ranges or threads.  Each term of a mirror block is exactly
-    symmetric when cuu and cvv are, and so is their sum.  The v-u cross
-    block is cuv.T, and the stencil in the first slot of a transposed block
-    equals the transpose of the stencil in the second slot
-    (lapL(M.T) = lapR(M).T), so each Laplacian is evaluated once and reused
-    transposed.
+    concurrently: a part writes only its own output rows and temporaries.
+    Every term is the same sequence of floating-point operations as a
+    term-by-term evaluation, so results do not depend on buffers, row ranges
+    or threads.  Each term of a mirror block is exactly symmetric when cuu
+    and cvv are, and so is their sum.  The v-u cross block is cuv.T, and the
+    stencil in the first slot of a transposed block equals the transpose of
+    the stencil in the second slot (lapL(M.T) = lapR(M).T), so each
+    Laplacian is evaluated once and reused transposed; lapR is ``lap_rows``
+    on transposed views.
     """
 
     def __init__(self, state: CumulantState, coeffs: RHSCoefficients, factors):
@@ -222,14 +213,14 @@ class _SecondOrder:
 
         The vv block is the uu block under u <-> v: the thermal source and
         the decay keep their sign and every other term flips, the stencil
-        moves from the v slot (axis 1) to the u slot (axis 0) of <<u v'>>
-        and the Kerr factor from g1[k] to g2[j].
+        moves from the v slot (second index) to the u slot (first index)
+        of <<u v'>> and the Kerr factor from g1[k] to g2[j].
         """
         st, x = self.state, self.x
-        if sign > 0:
-            axis, cxx, kerr = 1, st.cuu, self.g1[None, :]
+        if sign > 0:  # lapR(cuv) is the row stencil on transposed views
+            cxx, kerr, view = st.cuu, self.g1[None, :], np.transpose
         else:
-            axis, cxx, kerr = 0, st.cvv, self.g2[:, None]
+            cxx, kerr, view = st.cvv, self.g2[:, None], np.asarray
         rotate = np.add if sign > 0 else np.subtract
         rot = np.add(st.cuv, st.cuv.T, out=acc)
         rot *= self.dw
@@ -237,7 +228,7 @@ class _SecondOrder:
         rotate(0.0, rot, out=out)
         np.fill_diagonal(out, rotate(self.src + (sign * self.sx) * self.h, np.diagonal(rot)))
         out -= np.multiply(cxx, self.two_gamma, out=tmp)
-        _lap(st.cuv, axis, self.bnd, tmp, acc)
+        lap_rows(view(st.cuv), self.bnd, view(tmp), view(acc))
         np.add(tmp, tmp.T, out=acc)
         acc *= -sign * self.d2
         out += acc
@@ -250,22 +241,24 @@ class _SecondOrder:
         tmp *= sign * 2.0 * x
         out += tmp
 
-    def uv_rows(self, lo: int, hi: int, duv, tmp, acc, spare) -> None:
-        """Rows [lo, hi) of the uv block; ``spare`` is a third temporary,
-        of which only rows [lo, hi) are written."""
+    def uv_rows(self, lo: int, hi: int, duv, tmp, acc) -> None:
+        """Rows [lo, hi) of the uv block, writing only those rows of ``duv``,
+        ``tmp`` and ``acc``; the rows of ``duv`` hold the periodic neighbour
+        sum of lapL(cvv) until the dispersion term is formed."""
         st, x = self.state, self.x
         rows = slice(lo, hi)
         cuu, cuv, cvv = st.cuu[rows], st.cuv[rows], st.cvv[rows]
-        duv, t, a = duv[rows], tmp[rows], acc[rows]
+        t, a = tmp[rows], acc[rows]
+        lap_rows(cuu.T, self.bnd, t.T, a.T)  # lapR(cuu)
+        t -= lap_rows(st.cvv, self.bnd, acc, duv, lo, hi)[rows]
+        t *= self.d2
+        duv = duv[rows]
         duv.fill(0.0)
         np.fill_diagonal(duv[:, rows], self.uv_diag[rows])
-        np.subtract(cvv, cuu, out=t)
-        t *= self.dw
-        duv += t
-        duv -= np.multiply(cuv, self.two_gamma, out=t)
-        _lap(cuu, 1, self.bnd, t, a)
-        t -= _lap(st.cvv, 0, self.bnd, acc, spare, lo, hi)[rows]
-        t *= self.d2
+        np.subtract(cvv, cuu, out=a)
+        a *= self.dw
+        duv += a
+        duv -= np.multiply(cuv, self.two_gamma, out=a)
         duv += t
         np.multiply(cuu, self.g2[None, :], out=t)
         t *= -x
@@ -303,14 +296,14 @@ def rhs(state: CumulantState, coeffs: RHSCoefficients, out: np.ndarray | None = 
     allocated when not given, so repeated calls with both given allocate no
     m x m array.  The second-order blocks are assembled as two fixed halves,
     concurrently when the process may use two CPUs (``_pair.run_pair``); the
-    result is the same either way.  The uu/vv blocks are assembled straight
-    into ``out``, with no symmetrizing pass, and come out exactly symmetric
-    when cuu and cvv are.  The constructors and ``reorder_s`` build them
-    exactly symmetric and RK steps keep them so, except at some odd m (seen
-    from m = 193 up), where the BLAS stage sums round a few elements
-    differently by their position in the vector and leave 1-ulp
-    asymmetries that the derivative then carries; ``second_order_asymmetry``
-    measures them.
+    result is the same either way, and the halves share no buffer.  The
+    uu/vv blocks are assembled straight into ``out``, with no symmetrizing
+    pass, and come out exactly symmetric when cuu and cvv are.
+    The constructors and ``reorder_s`` build them exactly symmetric and RK
+    steps keep them so, except at some odd m (seen from m = 193 up), where
+    the BLAS stage sums round a few elements differently by their position
+    in the vector and leave 1-ulp asymmetries that the derivative then
+    carries; ``second_order_asymmetry`` measures them.
     """
     m = state.grid.m
     if out is None:
@@ -320,16 +313,15 @@ def rhs(state: CumulantState, coeffs: RHSCoefficients, out: np.ndarray | None = 
     deriv = CumulantDerivative(*split_flat(out, m))
     factors = _local_factors(state)
     deriv.cu[...], deriv.cv[...] = _first_order(state, coeffs, factors)
-    spare, tmp_a, acc_a, tmp_b, acc_b = scratch
     parts = _SecondOrder(state, coeffs, factors)
 
     def half(sign, block, lo, hi, tmp, acc):
         parts.mirror_block(sign, block, tmp, acc)
-        parts.uv_rows(lo, hi, deriv.cuv, tmp, acc, spare)
+        parts.uv_rows(lo, hi, deriv.cuv, tmp, acc)
 
     cut = m // 2
-    run_pair(lambda: half(1, deriv.cuu, 0, cut, tmp_a, acc_a),
-             lambda: half(-1, deriv.cvv, cut, m, tmp_b, acc_b))
+    run_pair(lambda: half(1, deriv.cuu, 0, cut, *scratch[:2]),
+             lambda: half(-1, deriv.cvv, cut, m, *scratch[2:]))
     return deriv
 
 

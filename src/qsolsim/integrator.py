@@ -282,6 +282,12 @@ class IntegrationResult:
     stats: StepStats = field(default_factory=StepStats)
 
 
+def _work_copy(y0) -> np.ndarray:
+    """A finite copy of y0, widened to float64 or complex128 at least."""
+    y0 = np.asarray(y0)
+    return finite("y0", y0.astype(np.result_type(y0.dtype, np.float64)))
+
+
 def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
               tableau: Tableau = DORMAND_PRINCE_853,
               control: StepControl = StepControl(),
@@ -301,7 +307,7 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
     """
     if finite("t_end", t_end) < finite("t0", t0):
         raise ValueError("t_end must not precede t0")
-    y = finite("y0", np.array(y0, dtype=None, copy=True))
+    y = _work_copy(y0)
     if y.ndim != 1:
         raise ValueError("state must be a flat vector")
     stats = StepStats()
@@ -367,7 +373,7 @@ def integrate_fixed(fun, y0: np.ndarray, t0: float, t_end: float, n_steps: int,
     """Fixed-step solve (no error control); used for convergence studies."""
     if n_steps < 1:
         raise ValueError("need at least one step")
-    y = finite("y0", np.array(y0, copy=True))
+    y = _work_copy(y0)
     h = (finite("t_end", t_end) - finite("t0", t0)) / n_steps
     t = t0
     buffers = _Buffers(y, tableau)

@@ -61,10 +61,10 @@ class GridSpec:
         return self.dx * (np.arange(self.m) - self.m // 2)
 
 
-def _ordering(s: float) -> float:
-    """The range rule of the ordering parameter s."""
+def _ordering(s: float, name: str = "s") -> float:
+    """The range rule of the ordering parameter s; ``name`` labels the value."""
     if not -1.0 <= s <= 1.0:
-        raise ValueError(f"ordering parameter must lie in [-1, 1], got s={s}")
+        raise ValueError(f"ordering parameter must lie in [-1, 1], got {name}={s}")
     return s
 
 

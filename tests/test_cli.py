@@ -59,6 +59,7 @@ class TestConfigValidation:
         (dict(spectrum_phase="max"), "spectrum_phase"),
         (dict(eta_window=1e-9), "eta_window"),
         (dict(s_pair=[0.5, 0.9]), "first entry must equal"),
+        (dict(s_pair=[0.0, 1.5]), r"must lie in \[-1, 1\], got s_pair=1.5"),
     ])
     def test_rejects_bad_keys(self, mutation, match):
         cfg = tiny_config(**mutation)
@@ -481,16 +482,18 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
                     "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
-def test_outputs_do_not_depend_on_blas_threads_or_cpus(tmp_path):
-    # a small absorbing Kerr run in fresh interpreters: no BLAS thread
-    # variable set (the package's default applies), one BLAS thread set
-    # explicitly, empty BLAS variables (which BLAS reads as unset), and one
-    # CPU in the affinity mask (the halves run inline)
+@pytest.mark.parametrize("grid", [["m=60"], ["m=61", "boundary=periodic"]])
+def test_outputs_do_not_depend_on_blas_threads_or_cpus(tmp_path, grid):
+    # a small Kerr run in fresh interpreters: no BLAS thread variable set
+    # (the package's default applies), one BLAS thread set explicitly, empty
+    # BLAS variables (which BLAS reads as unset), and one CPU in the affinity
+    # mask (the halves run inline); absorbing walls, and a periodic grid at
+    # odd m, where each half's uv rows hold its wrapped neighbour sums
     base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     base["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     args = [sys.executable, "-m", "qsolsim.cli", "run", "--scenario", "intensity-weak-loss",
-            "--override", "m=60", "--override", "t_end=0.1",
-            "--override", "output_times=[0.05, 0.1]", "--out"]
+            *(arg for spec in grid for arg in ("--override", spec)),
+            "--override", "t_end=0.1", "--override", "output_times=[0.05, 0.1]", "--out"]
     runs = {"no-blas-env": ([], base),
             "one-blas-thread": ([], dict(base, OPENBLAS_NUM_THREADS="1")),
             "empty-blas-env": ([], dict(base, OPENBLAS_NUM_THREADS="", MKL_NUM_THREADS="",

@@ -14,7 +14,15 @@ from qsolsim.dynamics import (
     second_order_asymmetry,
 )
 from qsolsim.integrator import StepControl
-from qsolsim.state import CumulantState, GridSpec, fundamental_soliton, reorder_s, thermal_state
+from qsolsim.state import (
+    CumulantDerivative,
+    CumulantState,
+    GridSpec,
+    fundamental_soliton,
+    reorder_s,
+    split_flat,
+    thermal_state,
+)
 
 
 def random_state(m=7, s=0.3, boundary="absorbing", seed=5, scale=1.0):
@@ -197,6 +205,31 @@ class TestStructuralInvariants:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("boundary", ["absorbing", "periodic"])
+    def test_rhs_halves_share_no_buffer(self, monkeypatch, boundary):
+        # run the two second-order halves one at a time on NaN-filled buffers:
+        # each writes all of its mirror block and its rows of the uv block,
+        # nothing else of ``out``, and at most two scratch blocks of its own
+        state = random_state(m=41, s=0.85, boundary=boundary, seed=41, scale=2.0)
+        m, cut = state.grid.m, state.grid.m // 2
+        halves = []
+        monkeypatch.setattr(dynamics, "run_pair", lambda a, b: halves.extend((a, b)))
+        out, scratch = np.empty(2 * m + 3 * m * m), rhs_scratch(m)
+        rhs(state, coeffs_for(state), out=out, scratch=scratch)
+        owned = []
+        for half, block, rows in zip(halves, ("cuu", "cvv"), (slice(0, cut), slice(cut, m))):
+            expected = np.zeros(out.shape, dtype=bool)
+            mask = CumulantDerivative(*split_flat(expected, m))
+            getattr(mask, block)[...] = True
+            mask.cuv[rows] = True
+            out.fill(np.nan)
+            scratch.fill(np.nan)
+            half()
+            assert np.array_equal(~np.isnan(out), expected), block
+            owned.append({i for i, buf in enumerate(scratch) if not np.isnan(buf).all()})
+            assert len(owned[-1]) <= 2
+        assert not owned[0] & owned[1]
+
+    @pytest.mark.parametrize("boundary", ["absorbing", "periodic"])
     @pytest.mark.parametrize("s", [-0.7, 0.0, 0.85])
     @pytest.mark.parametrize("m", [1, 2, 7, 40, 41])
     def test_uu_vv_blocks_are_the_term_by_term_mirror_blocks(self, boundary, s, m):
@@ -346,16 +379,20 @@ def roll_lap(mat, axis, boundary):
 @pytest.mark.parametrize("boundary", ["absorbing", "periodic"])
 @pytest.mark.parametrize("m", [1, 2, 3, 9])
 def test_matrix_stencils_match_the_roll_formula(boundary, m):
-    # the buffered stencils must give the reference's bits, written into ``out``
+    # the buffered stencils must give the reference's bits, written into
+    # ``out``; along axis 1 the stencil is lap_rows on transposed views
     mat = np.random.default_rng(m).normal(size=(m, m))
 
     def lap(out=None):
-        return lap_rows(mat, boundary, out) if axis == 0 else dynamics._lap(mat, 1, boundary, out)
+        if axis == 0:
+            return lap_rows(mat, boundary, out)
+        return lap_rows(mat.T, boundary, None if out is None else out.T).T
 
     for axis in (0, 1):
         ref = roll_lap(mat, axis, boundary)
         out = np.full((m, m), np.nan)
-        assert lap(out) is out
+        got = lap(out)
+        assert got is out if axis == 0 else got.base is out
         assert np.array_equal(out, ref)
         assert np.array_equal(lap(), ref)
 
@@ -375,7 +412,11 @@ def test_stencil_row_range_writes_exactly_those_rows(boundary, m):
                 expected = np.full((m, m), np.nan)
                 expected[tuple(span)] = ref[tuple(span)]
                 out = np.full((m, m), np.nan)
-                assert dynamics._lap(mat, axis, boundary, out, lo=lo, hi=hi) is out
+                if axis == 0:
+                    assert lap_rows(mat, boundary, out, lo=lo, hi=hi) is out
+                else:
+                    got = lap_rows(mat.T, boundary, out.T, lo=lo, hi=hi)
+                    assert got.base is out
                 assert np.array_equal(out, expected, equal_nan=True), (axis, lo, hi)
 
 

@@ -339,6 +339,21 @@ class TestIntegrate:
                         0.0, math.pi)
         assert res.y[0] == pytest.approx(-1.0 + 0.0j, abs=1e-9)
 
+    @pytest.mark.parametrize("y0,ref", [
+        ([1], [1.0]),
+        ([True], [1.0]),
+        (np.array([1.0 + 0.5j], dtype=np.complex64), [1.0 + 0.5j]),
+    ])
+    def test_integer_and_narrow_states_integrate_as_their_wide_values(self, y0, ref):
+        # the stage array takes the state's dtype, which must hold f(t, y)
+        def decay(t, y, out):
+            np.negative(y, out=out)
+
+        res, want = integrate(decay, y0, 0.0, 1.0), integrate(decay, ref, 0.0, 1.0)
+        assert res.y.dtype == want.y.dtype and res.y.tobytes() == want.y.tobytes()
+        fixed = integrate_fixed(decay, y0, 0.0, 1.0, 8)
+        assert fixed.tobytes() == integrate_fixed(decay, ref, 0.0, 1.0, 8).tobytes()
+
 
 class TestConvergenceOrder:
     @pytest.mark.parametrize("tab,min_slope", [
