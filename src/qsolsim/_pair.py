@@ -12,11 +12,11 @@ The worker starts on the first call, never at import, and is started again
 in a child process after ``fork``.  Halves must not call ``run_pair``
 themselves.
 
-``run_forked(fn)`` starts ``fn()`` in a forked child process that runs beside
-the caller, and returns a handle whose ``join()`` gives the child's result.
-It forks only where that overlaps safely: two or more CPUs, no thread but
-the calling one, and a ``fork`` start method.  Otherwise ``fn`` runs inline,
-inside ``join()``.
+``run_beside(a, b)`` returns ``(a(), b())`` and runs ``b`` in a forked child
+process while ``a`` runs in the caller.  It forks only where that overlaps
+safely: two or more CPUs, no thread but the calling one, and a ``fork``
+start method.  Otherwise, or when the fork fails, ``a()`` and then ``b()``
+run inline.  It returns both results or raises, and leaves no child behind.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["run_pair", "run_forked"]
+__all__ = ["run_pair", "run_beside"]
 
 
 def _cpu_count() -> int:
@@ -113,68 +113,53 @@ def _send_outcome(fn, conn) -> None:
     """Child side: send ``(True, fn())`` or ``(False, exception)``."""
     try:
         outcome = (True, fn())
-    except BaseException as exc:  # re-raised by the parent's join()
+    except BaseException as exc:  # re-raised by the parent
         outcome = (False, exc)
     with conn:
         conn.send(outcome)
 
 
-class Forked:
-    """Handle of a computation started by ``run_forked``: inline when ``proc`` is None."""
+def run_beside(a, b) -> tuple:
+    """Return ``(a(), b())``, with ``b`` in a forked child while ``a`` runs here.
 
-    def __init__(self, fn, proc=None, conn=None):
-        self._fn, self._proc, self._conn = fn, proc, conn
-
-    def join(self):
-        """Return ``fn()``'s result or raise its exception; call once.
-
-        A child's outcome is received before the child is reaped, so a large
-        result cannot leave the child blocked on a full pipe.
-        """
-        if self._proc is None:
-            return self._fn()
-        try:
-            ok, value = self._conn.recv()
-        except EOFError:  # killed, or its outcome could not be pickled
-            ok, value = False, None
-        self._proc.join()
-        exitcode = self._proc.exitcode
-        self.close()
-        if ok:
-            return value
-        if value is None:
-            raise RuntimeError(f"forked process ended without a result (exit code {exitcode})")
-        raise value
-
-    def close(self) -> None:
-        """Terminate a child still running and reap it; idempotent."""
-        if self._proc is None:
-            return
-        self._conn.close()
-        if self._proc.exitcode is None:
-            self._proc.terminate()
-        self._proc.join()
-        self._proc.close()
-        self._proc = None
-
-
-def run_forked(fn) -> Forked:
-    """Start ``fn()`` beside the caller; ``join()`` the handle for its result.
-
-    The caller must ``close()`` the handle where it may not reach ``join()``
-    (in a ``finally`` clause), so that no child outlives the call.
+    Where ``_fork_context`` allows no fork, or the fork fails, ``a()`` and then
+    ``b()`` run inline.  If ``a`` raises, the child is terminated and reaped
+    before the exception leaves; an exception from ``b``, or a child that dies
+    without a result, is raised once ``a`` has finished.  No child outlives
+    the call.
     """
     ctx = _fork_context()
+    if ctx is not None:
+        conn, child_end = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_send_outcome, args=(b, child_end), name="qsolsim-forked",
+                           daemon=True)
+        try:
+            proc.start()
+        except OSError:  # no process to spare: run inline instead
+            conn.close()
+            ctx = None
+        finally:
+            child_end.close()
     if ctx is None:
-        return Forked(fn)
-    conn, child_end = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_send_outcome, args=(fn, child_end), name="qsolsim-forked",
-                       daemon=True)
+        return a(), b()
     try:
-        proc.start()
-    except OSError:  # no process to spare: run inline instead
-        conn.close()
-        return Forked(fn)
+        first = a()
+        try:
+            # received before the child is reaped, so a large result cannot
+            # leave the child blocked on a full pipe
+            ok, second = conn.recv()
+        except EOFError:  # killed, or its outcome could not be pickled
+            ok, second = False, None
+    except BaseException:  # a raised: stop the child still running
+        proc.terminate()
+        raise
     finally:
-        child_end.close()
-    return Forked(fn, proc, conn)
+        conn.close()
+        proc.join()
+        exitcode = proc.exitcode
+        proc.close()
+    if ok:
+        return first, second
+    if second is None:
+        raise RuntimeError(f"forked process ended without a result (exit code {exitcode})")
+    raise second

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from ._checks import finite
-from ._pair import run_forked
+from ._pair import run_beside
 from .dynamics import RHSCoefficients, propagate
 from .integrator import IntegrationError, StepControl
 from .observables import (
@@ -430,31 +430,29 @@ def run(cfg: dict, out_dir) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {str(out)!r}: {exc}") from exc
 
-    # an s-pair run's twin trajectory propagates beside the primary
-    twin = None if rc.s_pair is None else run_forked(
-        functools.partial(_run_trajectory, rc, rc.s_pair[1]))
-    try:
-        primary = _run_trajectory(rc, rc.s)
+    # an s-pair run's twin (at s_pair[1]; s_pair[0] is s) propagates beside the
+    # primary; both end before any file is written
+    if rc.s_pair is None:
+        primary, twin = _run_trajectory(rc, rc.s), None
+    else:
+        primary, twin = run_beside(*(functools.partial(_run_trajectory, rc, s)
+                                     for s in rc.s_pair))
 
-        # kind -> emitter of the state or of that kind's observable result; built
-        # here so each name is looked up when the run starts, not at import
-        emitters = {"state": emit_state, "intensity": emit_intensity,
-                    "ellipses": emit_ellipses, "nrparams": emit_nrparams,
-                    "spectrum": emit_spectrum, "eta": emit_eta}
-        outputs = []
-        worst_heisenberg = math.inf
-        for state, results in zip(primary.states, primary.results):
-            label = _time_label(state.t)
-            worst_heisenberg = min(worst_heisenberg, validate(state).heisenberg_margin)
-            for kind in ("state", *rc.observables):
-                path = out / f"{kind}_t{label}{'.npy' if kind == 'state' else '.csv'}"
-                extras = emitters[kind](results.get(kind, state), path)
-                outputs.append({"path": path.name, "kind": kind, "t": state.t,
-                                **(extras or {})})
-        report = None if twin is None else _s_pair_report(rc, primary, twin.join())
-    finally:
-        if twin is not None:
-            twin.close()  # a primary failure must not leave the twin running
+    # kind -> emitter of the state or of that kind's observable result; built
+    # here so each name is looked up when the run starts, not at import
+    emitters = {"state": emit_state, "intensity": emit_intensity,
+                "ellipses": emit_ellipses, "nrparams": emit_nrparams,
+                "spectrum": emit_spectrum, "eta": emit_eta}
+    outputs = []
+    worst_heisenberg = math.inf
+    for state, results in zip(primary.states, primary.results):
+        label = _time_label(state.t)
+        worst_heisenberg = min(worst_heisenberg, validate(state).heisenberg_margin)
+        for kind in ("state", *rc.observables):
+            path = out / f"{kind}_t{label}{'.npy' if kind == 'state' else '.csv'}"
+            extras = emitters[kind](results.get(kind, state), path)
+            outputs.append({"path": path.name, "kind": kind, "t": state.t,
+                            **(extras or {})})
 
     scaled = dataclasses.asdict(rc.scaled)
     scaled["t_d_seconds"], scaled["x_d_meters"] = scaled.pop("t_d"), scaled.pop("x_d")
@@ -482,8 +480,8 @@ def run(cfg: dict, out_dir) -> dict:
         "min_heisenberg_margin": worst_heisenberg,
         "outputs": outputs,
     }
-    if report is not None:
-        manifest["s_pair_report"] = report
+    if twin is not None:
+        manifest["s_pair_report"] = _s_pair_report(rc, primary, twin)
     _write_json(out / "manifest.json", manifest)
     return manifest
 

@@ -173,7 +173,7 @@ def initial_density(config: FockConfig, kind: str, alphas=None, n: float = 0.0) 
     """Product initial state: 'coherent', 'thermal' or 'displaced-thermal'."""
     if alphas is None:
         alphas = [0.0] * config.modes
-    alphas = list(np.atleast_1d(alphas))
+    alphas = list(finite("alphas", np.atleast_1d(alphas)))
     if len(alphas) != config.modes:
         raise ValueError("need one amplitude per mode")
     parts = []
@@ -318,7 +318,8 @@ def matching_initial_state(config: FockConfig, kind: str, alphas=None,
     if alphas is None:
         alphas = [0.0] * config.modes
     alphas = finite("alphas", np.atleast_1d(np.asarray(alphas, dtype=complex)))
-    base = thermal_state(config.grid(), n if kind != "coherent" else 0.0, config.s)
+    base = thermal_state(config.grid(), non_negative("n", n) if kind != "coherent" else 0.0,
+                         config.s)
     if kind == "thermal":
         return base
     if kind not in ("coherent", "displaced-thermal"):

@@ -312,7 +312,7 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
         raise ValueError("state must be a flat vector")
     stats = StepStats()
     pending = sorted(float(t) for t in output_times)
-    for t in pending:
+    for t in finite("output_times", pending):
         if not t0 - 1e-15 <= t <= t_end + 1e-15:
             raise ValueError(f"output time {t} outside [{t0}, {t_end}]")
     pending = [min(max(t, t0), t_end) for t in pending]

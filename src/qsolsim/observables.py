@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite
+from ._checks import finite, positive
 from .state import CumulantState, GridSpec, _local_noise
 
 OMEGA_UNIT = 2.0  # one w0 in inverse pulse-width units
@@ -67,7 +67,7 @@ class LOPulse:
     @classmethod
     def soliton(cls, grid: GridSpec, n0: float) -> "LOPulse":
         """The initial fundamental-soliton profile, the default LO choice."""
-        return cls(math.sqrt(n0) / np.cosh(grid.positions()))
+        return cls(math.sqrt(positive("n0", n0)) / np.cosh(grid.positions()))
 
 
 @dataclass(frozen=True)

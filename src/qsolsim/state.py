@@ -160,7 +160,7 @@ def reorder_s(state: CumulantState, s_new: float) -> CumulantState:
 
     Only the diagonals of cuu and cvv move: they pick up -(s_new - s)/4.
     """
-    shift = 0.25 * (_ordering(s_new) - state.s)
+    shift = 0.25 * (_ordering(s_new, "s_new") - state.s)
     eye = np.eye(state.grid.m)
     return CumulantState(
         state.grid, s_new, state.t,

@@ -21,6 +21,7 @@ from qsolsim.cli import (
     resolve_config,
     run,
 )
+from qsolsim.observables import LOPulse
 from qsolsim.scenarios import SCENARIOS, scenario_config
 from qsolsim.state import GridSpec, thermal_state
 
@@ -326,6 +327,29 @@ class TestArtifacts:
         # one observable pass per side: each ordering's spectrum once per output time
         assert spectra == [(0.0, 0.0), (0.0, 0.05), (0.85, 0.0), (0.85, 0.05)]
 
+    def test_custom_local_oscillator(self, tmp_path):
+        # lo_real equal to the default soliton LO writes the default spectrum;
+        # the same profile as lo_imag turns the LO by pi/2, which leaves S_min
+        # and moves the optimal phase by pi/2 (modulo pi)
+        base = ["run", "--scenario", "spectrum-mid-weak-loss", "--override", "m=16",
+                "--override", "dx=0.5", "--override", "t_end=0.2",
+                "--override", "output_times=[0.2]"]
+        rc = resolve_config(scenario_config("spectrum-mid-weak-loss") | {"m": 16, "dx": 0.5})
+        profile = json.dumps(LOPulse.soliton(rc.grid, rc.scaled.n0).amplitudes.real.tolist())
+        columns = {}
+        for name, lo in (("default", []), ("lo_real", [f"lo_real={profile}"]),
+                         ("lo_imag", [f"lo_imag={profile}"])):
+            out = tmp_path / name
+            overrides = [arg for spec in lo for arg in ("--override", spec)]
+            assert main([*base, *overrides, "--out", str(out)]) == 0
+            columns[name] = np.loadtxt(out / "spectrum_t0.2.csv", delimiter=",", skiprows=1)
+        assert filecmp.cmp(tmp_path / "default" / "spectrum_t0.2.csv",
+                           tmp_path / "lo_real" / "spectrum_t0.2.csv", shallow=False)
+        default, turned = columns["default"], columns["lo_imag"]
+        assert np.array_equal(turned[:, 2], default[:, 2])  # s_min
+        shift = np.mod(turned[:, 3] - default[:, 3] - 0.5 * math.pi, math.pi)
+        assert np.all(np.minimum(shift, math.pi - shift) < 1e-12)
+
     def test_s_pair_report_without_a_common_eta_window(self, tmp_path):
         # a thermal vacuum-like state has no eta window defined on both sides
         cfg = {"scaled": {"gamma_t": 0.01, "nbar": 100.0}, "n_th": 0.0, "m": 8, "dx": 0.5,
@@ -477,6 +501,48 @@ class TestCommandLine:
         assert main(["run", str(path), "--override", override]) == 2
         assert "config must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, config, code, message", [
+        pytest.param([], None, 2, "usage: qsolsim", id="no-subcommand"),
+        pytest.param(["run"], None, 2, "run needs a config file or --scenario", id="no-config"),
+        pytest.param(["run", "CFG", "--scenario", "eta-lossless"], tiny_config(), 2,
+                     "give either a config file or --scenario, not both", id="file-and-scenario"),
+        pytest.param(["run", "--scenario", "nope"], None, 2, "unknown scenario 'nope'",
+                     id="unknown-scenario"),
+        pytest.param(["run", "CFG"], '{"m": 12,\n "dx": }\n', 2,
+                     "config is not valid JSON (line 2)", id="not-json"),
+        pytest.param(["run", "CFG", "--override", "m"], tiny_config(), 2,
+                     "override 'm': expected key=value", id="override-without-value"),
+        pytest.param(["run", "CFG", "--override", "m.x=1"], tiny_config(), 2,
+                     "override 'm.x=1': m is not an object", id="override-through-a-number"),
+        pytest.param(["run", "CFG", "--validate-only"], tiny_config(omega_min=-1.0), 2,
+                     "omega_min, omega_max and omega_points must be given together",
+                     id="omega-min-alone"),
+        pytest.param(["run", "CFG", "--validate-only"],
+                     tiny_config(omega_min=1.0, omega_max=1.0, omega_points=5), 2,
+                     "need omega_max > omega_min", id="empty-omega-range"),
+        pytest.param(["run", "CFG", "--validate-only"],
+                     tiny_config(scaled={"gamma_t": 0.01, "nbar": 1e4, "bogus": 1}), 2,
+                     "scaled block: unknown keys ['bogus']", id="unknown-scaled-key"),
+        pytest.param(["run", "CFG", "--validate-only"],
+                     {**tiny_config(scaled=None), "physical": {"t0": 2e-12, "D": 20.0}}, 2,
+                     "physical block: missing keys ['Gamma']", id="missing-physical-key"),
+        pytest.param(["run", "CFG", "--override", "boundary=periodic", "--validate-only"],
+                     tiny_config(), 0, "boundary=periodic", id="override-kept-as-string"),
+        pytest.param(None, [1, 2], 2, "config must be a JSON object",
+                     id="resolve-config-on-a-non-object"),
+    ])
+    def test_entry_and_config_outcomes(self, tmp_path, capsys, argv, config, code, message):
+        if argv is None:  # main rejects a non-object before resolve_config sees it
+            with pytest.raises(ConfigError, match=message):
+                resolve_config(config)
+            return
+        path = tmp_path / "cfg.json"
+        if config is not None:
+            path.write_text(config if isinstance(config, str) else json.dumps(config))
+        assert main([str(path) if arg == "CFG" else arg for arg in argv]) == code
+        captured = capsys.readouterr()
+        assert message in (captured.out if code == 0 or not argv else captured.err)
+
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -609,6 +675,14 @@ def test_failing_trajectory_exits_3_and_leaves_no_child(tmp_path, mode):
     assert where["parent"] == ["0.0"]
     # a primary that fails at once may stop the twin before it propagates
     assert where["child"] == ["0.85"] if mode == "twin-fails" else where["child"] in (["0.85"], [])
+
+
+@needs_fork
+def test_failing_twin_writes_no_output_file(tmp_path):
+    # both trajectories end before the first file is written
+    proc = run_forking_cli(tmp_path, "twin-fails")[0]
+    assert proc.returncode == 3, proc.stderr
+    assert list((tmp_path / "forked").iterdir()) == []
 
 
 @pytest.mark.parametrize("physical, code", [

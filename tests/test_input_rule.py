@@ -178,8 +178,14 @@ def test_non_finite_argument_raises_value_error(name, key, bad):
     func, valid = VALID[name]
     args = valid()
     args[key] = poisoned(args[key], bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"\b{key}\b"):
         func(**args)
+
+
+def test_negative_soliton_lo_photon_number_names_n0():
+    # the square root would otherwise fail with "math domain error"
+    with pytest.raises(ValueError, match=r"\bn0\b"):
+        qsolsim.LOPulse.soliton(GRID, -1.0)
 
 
 def test_evolve_density_takes_a_one_shot_iterable_of_times():

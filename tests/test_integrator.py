@@ -32,11 +32,21 @@ class TestTableaus:
         assert abs(tab.error_weights.sum()) < 1e-12
         assert tab.error_weights.shape == (tab.n_stages + 1,)
 
-    def test_rejects_implicit_tableau(self):
-        with pytest.raises(ValueError):
-            Tableau(name="bad", error_order=1,
-                    a=np.array([[0.5]]), b=np.array([1.0]), c=np.array([0.5]),
-                    error_weights=np.array([0.0, 0.0]))
+    @pytest.mark.parametrize("change, match", [
+        (dict(a=[[0.5, 0.0], [1.0, 0.0]], c=[0.5, 1.0]), "explicit"),
+        (dict(a=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), "square"),
+        (dict(b=[0.5, 0.6]), "sum to 1"),
+        (dict(c=[0.0, 0.9]), "row sums"),
+        (dict(error_weights=[0.5, -0.5]), "error weights must cover"),
+        (dict(error_weights_low=[0.5, -0.5]), "low-order error weights"),
+    ])
+    def test_rejects_implicit_tableau(self, change, match):
+        # Heun-Euler with one part changed
+        heun = dict(name="bad", error_order=1, a=[[0.0, 0.0], [1.0, 0.0]], b=[0.5, 0.5],
+                    c=[0.0, 1.0], error_weights=[0.5, -0.5, 0.0],
+                    error_weights_low=[0.5, -0.5, 0.0])
+        with pytest.raises(ValueError, match=match):
+            Tableau(**(heun | change))
 
 
 def attempt(fun, y, h, tab, control):
@@ -202,7 +212,7 @@ class TestIntegrate:
             integrate(lambda t, y, out: np.negative(y, out=out), [1.0], 0.0, math.nan)
 
     def test_rejects_non_finite_output_time(self):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="output_times must be finite"):
             integrate(lambda t, y, out: np.negative(y, out=out), [1.0], 0.0, 1.0,
                       output_times=[math.nan])
 

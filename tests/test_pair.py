@@ -1,5 +1,6 @@
 """The two-half fork/join: same bits inline and threaded, and a worker half
-behaves like code on the calling thread (exceptions, numpy error state)."""
+behaves like code on the calling thread (exceptions, numpy error state); and
+``run_beside``, which runs a second computation in a forked child."""
 
 import functools
 import os
@@ -158,13 +159,13 @@ def test_cpu_count_falls_back_without_sched_getaffinity(monkeypatch):
     assert _pair._cpu_count() == 1
 
 
-def _forked_pid(monkeypatch, cpus: int, threads: int, methods=("fork", "spawn")):
+def _beside_pids(monkeypatch, cpus: int, threads: int, methods=("fork", "spawn")):
     import multiprocessing
 
     monkeypatch.setattr(_pair, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(threading, "active_count", lambda: threads)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: list(methods))
-    return _pair.run_forked(os.getpid).join()
+    return _pair.run_beside(os.getpid, os.getpid)
 
 
 @pytest.mark.parametrize("cpus, threads, methods", [
@@ -172,12 +173,12 @@ def _forked_pid(monkeypatch, cpus: int, threads: int, methods=("fork", "spawn"))
     (2, 2, ("fork", "spawn")),  # another thread: its locks would be copied held
     (2, 1, ("spawn",)),         # no fork start method
 ])
-def test_run_forked_runs_inline_where_it_must_not_fork(monkeypatch, cpus, threads, methods):
-    assert _forked_pid(monkeypatch, cpus, threads, methods) == os.getpid()
+def test_run_beside_runs_inline_where_it_must_not_fork(monkeypatch, cpus, threads, methods):
+    assert _beside_pids(monkeypatch, cpus, threads, methods) == (os.getpid(), os.getpid())
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_run_forked_runs_inline_when_the_fork_fails(monkeypatch):
+def test_run_beside_runs_inline_when_the_fork_fails(monkeypatch):
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
@@ -188,41 +189,40 @@ def test_run_forked_runs_inline_when_the_fork_fails(monkeypatch):
 
     fake = types.SimpleNamespace(Pipe=ctx.Pipe, Process=Unstartable)
     monkeypatch.setattr(_pair, "_fork_context", lambda: fake)
-    assert _pair.run_forked(os.getpid).join() == os.getpid()
+    assert _pair.run_beside(os.getpid, os.getpid) == (os.getpid(), os.getpid())
 
 
-def test_inline_work_waits_for_join_and_raises_there(monkeypatch):
+def test_inline_b_runs_after_a_and_raises_there(monkeypatch):
     monkeypatch.setattr(_pair, "_cpu_count", lambda: 1)
     ran = []
 
-    def fn():
-        ran.append(True)
+    def b():
+        ran.append("b")
         raise KeyError("inline")
 
-    handle = _pair.run_forked(fn)
-    assert ran == []
     with pytest.raises(KeyError):
-        handle.join()
-    assert ran == [True]
+        _pair.run_beside(lambda: ran.append("a"), b)
+    assert ran == ["a", "b"]
 
 
 FORK_CHECKS = r"""
-import os, pickle, signal, sys, threading, time
+import os, signal, sys, threading, time
 from qsolsim import _pair
 from qsolsim.integrator import StepSizeUnderflow
 
 assert threading.active_count() == 1 and _pair._cpu_count() >= 2
 
-# the result comes back from a child process
-assert _pair.run_forked(os.getpid).join() != os.getpid()
-big = _pair.run_forked(lambda: bytes(3_000_000)).join()  # beyond any pipe buffer
+# b's result comes back from a child process, a's from here
+here, there = _pair.run_beside(os.getpid, os.getpid)
+assert here == os.getpid() != there
+big = _pair.run_beside(lambda: None, lambda: bytes(3_000_000))[1]  # beyond any pipe buffer
 assert big == bytes(3_000_000)
 
 # an exception comes back with its type and fields
 def fail():
     raise StepSizeUnderflow("step size underflow", 4.9)
 try:
-    _pair.run_forked(fail).join()
+    _pair.run_beside(lambda: None, fail)
 except StepSizeUnderflow as exc:
     assert exc.t == 4.9 and str(exc) == "step size underflow (at t = 4.9)"
 else:
@@ -230,18 +230,22 @@ else:
 
 # a child that dies without a result is reported, not waited for forever
 try:
-    _pair.run_forked(lambda: os.kill(os.getpid(), signal.SIGKILL)).join()
+    _pair.run_beside(lambda: None, lambda: os.kill(os.getpid(), signal.SIGKILL))
 except RuntimeError as exc:
     assert "ended without a result" in str(exc)
 else:
     raise AssertionError("no exception")
 
-# close() terminates a child still running and reaps it
-handle = _pair.run_forked(lambda: time.sleep(60))
+# when a raises, a child still running is terminated and reaped
+def stop():
+    raise KeyError("from a")
 start = time.monotonic()
-handle.close()
-handle.close()
-assert time.monotonic() - start < 10
+try:
+    _pair.run_beside(stop, lambda: time.sleep(60))
+except KeyError:
+    assert time.monotonic() - start < 10
+else:
+    raise AssertionError("no exception")
 
 try:
     os.waitpid(-1, os.WNOHANG)
@@ -252,8 +256,8 @@ except ChildProcessError:
 
 @pytest.mark.skipif(not hasattr(os, "fork") or _pair._cpu_count() < 2,
                     reason="needs fork and two CPUs")
-def test_run_forked_in_a_fresh_process():
-    # a fresh interpreter has one thread, so run_forked forks there
+def test_run_beside_in_a_fresh_process():
+    # a fresh interpreter has one thread, so run_beside forks there
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(_pair.__file__)))
     proc = subprocess.run([sys.executable, "-c", FORK_CHECKS], env=env, timeout=120,
                           capture_output=True, text=True)

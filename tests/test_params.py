@@ -48,6 +48,11 @@ class TestThermalOccupation:
         with pytest.raises(ValueError):
             thermal_occupation(1.5e-6, -1.0)
 
+    def test_cold_reservoir_gives_exactly_zero(self):
+        # hbar omega / k_B T is about 9.6e3 here: exp(x) would overflow
+        # (math.expm1 raises OverflowError), and the occupation is zero
+        assert thermal_occupation(1.5e-6, 1.0) == 0.0
+
     @pytest.mark.parametrize("lambda_c, T", [(1.5e-6, 1e-300), (1e-300, 1e-300)])
     def test_underflowing_product_gives_zero(self, lambda_c, T):
         # lambda_c * k_B * T underflows to 0: the T -> 0 limit, not a division by zero

@@ -133,6 +133,24 @@ class TestValidate:
         assert not report.ok
         assert any("asymmetry" in issue for issue in report.issues)
 
+    def test_flags_cvv_asymmetry(self):
+        st_ = thermal_state(GridSpec(m=4, dx=0.1), 0.0, 0.0)
+        cvv = st_.cvv.copy()
+        cvv[2, 0] -= 1e-3
+        bad = CumulantState(st_.grid, st_.s, st_.t, st_.cu, st_.cv, st_.cuu, st_.cuv, cvv)
+        report = validate(bad)
+        assert report.cvv_asymmetry == pytest.approx(1e-3, rel=1e-12)
+        assert report.issues == ("cvv asymmetry 1.000e-03",)
+
+    def test_flags_uncertainty_product_below_a_quarter(self):
+        # cuu = cvv = 0.01 I at s = 0: both axes 0.01, product 0.01 < 1/4
+        grid = GridSpec(m=3, dx=0.1)
+        small = 0.01 * np.eye(3)
+        report = validate(CumulantState(grid, 0.0, 0.0, np.zeros(3), np.zeros(3),
+                                        small, np.zeros((3, 3)), small))
+        assert report.heisenberg_margin == pytest.approx(-0.24, rel=1e-12)
+        assert report.issues == ("uncertainty product 0.010000 below 1/4",)
+
     def test_flags_unphysical_axis(self):
         st_ = thermal_state(GridSpec(m=4, dx=0.1), 0.0, 0.0)
         cvv = st_.cvv.copy()
