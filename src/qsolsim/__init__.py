@@ -30,7 +30,7 @@ from .dynamics import (
     propagate,
     rhs,
 )
-from .integrator import IntegrationResult, StepControl, integrate, integrate_fixed
+from .integrator import StepControl, integrate, integrate_fixed
 from .observables import (
     CorrelationResult,
     LOPulse,
@@ -68,7 +68,6 @@ __all__ = [
     "DORMAND_PRINCE_54",
     "DORMAND_PRINCE_853",
     "GridSpec",
-    "IntegrationResult",
     "LOPulse",
     "PhysicalInputs",
     "RHSCoefficients",

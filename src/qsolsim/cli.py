@@ -172,7 +172,7 @@ def _resolve(cfg: dict) -> RunConfig:
                    lambda v: v in ("soliton", "thermal"), "must be 'soliton' or 'thermal'")
     t_end = float(_get(cfg, "t_end", 5.0, _NUMBER, "a number",
                        lambda v: v >= 0, "must be non-negative"))
-    times = [float(t) for t in _get(
+    times = [float(t) + 0.0 for t in _get(  # + 0.0: -0.0 is t = 0, labelled "0"
         cfg, "output_times", [t_end], list, "a list",
         lambda v: v and all(map(_is_number, v)), "must be a non-empty list of numbers")]
     if times != sorted(times):
@@ -357,8 +357,7 @@ def _run_trajectory(rc: RunConfig, s: float) -> _Side:
         state0 = fundamental_soliton(rc.grid, rc.scaled.n0, rc.scaled.n_th, s)
     else:
         state0 = thermal_state(rc.grid, rc.scaled.n_th, s)
-    states, stats = propagate(state0, rc.coeffs, rc.output_times[-1],
-                              output_times=rc.output_times,
+    states, stats = propagate(state0, rc.coeffs, rc.output_times,
                               tableau=TABLEAUS[rc.method], control=rc.control)
     return _Side(states, stats, [_observable_results(rc, state) for state in states])
 
@@ -532,7 +531,7 @@ def main(argv=None) -> int:
         print(format_scenario_table())
         return 0
     if args.command != "run":
-        parser.print_help()
+        parser.print_help(sys.stderr)
         return 2
 
     try:

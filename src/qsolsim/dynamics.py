@@ -342,25 +342,24 @@ def photon_balance_residual(state: CumulantState, deriv: CumulantDerivative,
     return total + 2.0 * coeffs.gamma_t * float(np.sum(intensity(state) - coeffs.n_th))
 
 
-def propagate(state: CumulantState, coeffs: RHSCoefficients, t_end: float,
-              output_times=None, tableau: Tableau = DORMAND_PRINCE_853,
+def propagate(state: CumulantState, coeffs: RHSCoefficients, output_times,
+              tableau: Tableau = DORMAND_PRINCE_853,
               control: StepControl = StepControl()):
-    """Integrate the cumulant system from state.t to t_end (scaled time).
+    """Integrate the cumulant system from state.t to the last of
+    ``output_times`` (scaled time, none before state.t).
 
-    Returns (states, stats): a copy of the state at each requested output
-    time (by default just t_end) and the integrator step statistics.
+    Returns (states, stats): a copy of the state at each output time, in
+    ascending order, and the integrator step statistics.
     """
-    if output_times is None:
-        output_times = (t_end,)
     scratch = rhs_scratch(state.grid.m)
 
     def fun(t, y, out):
         rhs(state.with_flat(y, t), coeffs, out=out, scratch=scratch)
 
     states: list[CumulantState] = []
-    result = integrate(
-        fun, state.flatten(), state.t, t_end,
-        tableau=tableau, control=control, output_times=output_times,
-        observer=lambda t, y: states.append(state.with_flat(np.array(y, copy=True), t)),
+    stats = integrate(
+        fun, state.flatten(), state.t, output_times,
+        lambda t, y: states.append(state.with_flat(np.array(y, copy=True), t)),
+        tableau=tableau, control=control,
     )
-    return states, result.stats
+    return states, stats

@@ -265,10 +265,11 @@ def evolve_density(config: FockConfig, rho0: np.ndarray, t_grid,
         out[:] = rhs_rho(y.reshape(dim, dim)).ravel()
 
     t_grid = finite("t_grid", [float(t) for t in t_grid])
+    if not t_grid or min(t_grid) < 0:
+        raise ValueError("t_grid must be a non-empty list of times >= 0")
     outputs = []
-    integrate(fun, rho0.astype(complex).ravel(), 0.0, max(t_grid),
-              control=control or _CONTROL, output_times=t_grid,
-              observer=lambda t, y: outputs.append(y.copy()))
+    integrate(fun, rho0.astype(complex).ravel(), 0.0, t_grid,
+              lambda t, y: outputs.append(y.copy()), control=control or _CONTROL)
     rhos = _in_caller_order(t_grid, [flat.reshape(dim, dim) for flat in outputs])
     for t, rho in zip(t_grid, rhos):
         _check_density(config, rho, t)
@@ -363,8 +364,8 @@ def closure_gap(config: FockConfig, kind: str, t_grid, alphas=None, n: float = 0
     rho0 = initial_density(config, kind, alphas=alphas, n=n)
     rhos = evolve_density(config, rho0, t_grid, control=control)
     state0 = matching_initial_state(config, kind, alphas=alphas, n=n)
-    states, _ = propagate(state0, config.coefficients(), max(t_grid),
-                          output_times=t_grid, control=control or _CONTROL)
+    states, _ = propagate(state0, config.coefficients(), t_grid,
+                          control=control or _CONTROL)
     states = _in_caller_order(t_grid, states)
 
     gap1, gap2, scale1, scale2 = [], [], [], []

@@ -25,7 +25,7 @@ default order-8 pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .tableaus import DORMAND_PRINCE_853, Tableau
 __all__ = [
     "StepControl",
     "StepStats",
-    "IntegrationResult",
     "IntegrationError",
     "StepSizeUnderflow",
     "NonFiniteStateError",
@@ -253,9 +252,9 @@ def step(fun, t: float, y: np.ndarray, h: float, tableau: Tableau, control: Step
     return accepted, h * factor
 
 
-def _initial_step(fun, t0, y0, f0, t_end, tab, control, stats) -> float:
-    """Hairer-style starting step from the local derivative magnitudes."""
-    span = t_end - t0
+def _initial_step(fun, t0, y0, f0, span, tab, control, stats) -> float:
+    """Hairer-style starting step from the local derivative magnitudes, capped
+    at the span to be integrated."""
     scale = control.atol + control.rtol * np.abs(y0)
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
@@ -275,77 +274,61 @@ def _initial_step(fun, t0, y0, f0, t_end, tab, control, stats) -> float:
     return min(100 * h0, h1, span)
 
 
-@dataclass
-class IntegrationResult:
-    t: float
-    y: np.ndarray
-    stats: StepStats = field(default_factory=StepStats)
-
-
 def _work_copy(y0) -> np.ndarray:
     """A finite copy of y0, widened to float64 or complex128 at least."""
     y0 = np.asarray(y0)
     return finite("y0", y0.astype(np.result_type(y0.dtype, np.float64)))
 
 
-def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
+def integrate(fun, y0: np.ndarray, t0: float, output_times, observer,
               tableau: Tableau = DORMAND_PRINCE_853,
-              control: StepControl = StepControl(),
-              output_times=(), observer=None) -> IntegrationResult:
-    """Advance y' = f(t, y) from t0 to exactly t_end.
+              control: StepControl = StepControl()) -> StepStats:
+    """Advance y' = f(t, y) from t0 to exactly the last of ``output_times``;
+    returns the step statistics.
 
     ``fun(t, y, out)`` writes f(t, y) into ``out``, one row of the stage
     array that the integration allocates once; it must not keep ``y`` or
-    ``out``.  ``output_times`` are hit exactly by clipping the step; at each
-    one the ``observer`` callback (if any) receives (t, y).  ``y`` is a work
-    array that later steps overwrite, so an observer that keeps it must copy
-    it.  The step size resumes its adaptive suggestion after a clipped step.
-    An output time within 1e-15 outside [t0, t_end] counts as the nearer end.
+    ``out``.  ``output_times`` (none before t0) are hit exactly by clipping
+    the step; at each one, in ascending order, ``observer(t, y)`` is called.
+    ``y`` is a work array that later steps overwrite, so an observer that
+    keeps it must copy it.  The step size resumes its adaptive suggestion
+    after a clipped step.
 
     Each attempted step is one call of this module's ``step``, looked up at
     call time, so a wrapper installed on the module sees every attempt.
     """
-    if finite("t_end", t_end) < finite("t0", t0):
-        raise ValueError("t_end must not precede t0")
     y = _work_copy(y0)
     if y.ndim != 1:
         raise ValueError("state must be a flat vector")
+    pending = sorted(finite("output_times", [float(t) for t in output_times]))
+    if not pending or pending[0] < finite("t0", t0):
+        raise ValueError(f"output_times must be a non-empty list of times >= t0 = {t0}")
     stats = StepStats()
-    pending = sorted(float(t) for t in output_times)
-    for t in finite("output_times", pending):
-        if not t0 - 1e-15 <= t <= t_end + 1e-15:
-            raise ValueError(f"output time {t} outside [{t0}, {t_end}]")
-    pending = [min(max(t, t0), t_end) for t in pending]
-
     t = t0
-    while pending and pending[0] <= t0:
-        if observer is not None:
-            observer(t0, y)
-        pending.pop(0)
-    if t_end == t0:
-        return IntegrationResult(t, y, stats)
-
     buffers = _Buffers(y, tableau)
     fun(t, y, buffers.k[0])
     stats.n_rhs += 1
     with np.errstate(all="ignore"):
-        h = _initial_step(fun, t, y, buffers.k[0], t_end, tableau, control, stats)
+        h = _initial_step(fun, t, y, buffers.k[0], pending[-1] - t0, tableau, control, stats)
     if not math.isfinite(h) or h <= 0:  # pathological scales; let control sort it out
-        h = min(t_end - t0, 1e-6)
+        h = min(pending[-1] - t0, 1e-6)
 
     rejected = False
     rejects_in_row = 0
-    while t < t_end:
+    while pending:
+        if t == pending[0]:
+            observer(t, y)
+            pending.pop(0)
+            continue
         h_floor = 16.0 * abs(math.ulp(t))
         if h < h_floor:
             raise StepSizeUnderflow(
                 f"step size {h:.3e} fell below the floor {h_floor:.3e}", t)
-        stop = pending[0] if pending else t_end
-        clipped = t + h >= stop
-        h_try = stop - t if clipped else h
+        clipped = t + h >= pending[0]
+        h_try = pending[0] - t if clipped else h
         accepted, h_next = step(fun, t, y, h_try, tableau, control, buffers, stats, rejected)
         if accepted:
-            t = stop if clipped else t + h_try
+            t = pending[0] if clipped else t + h_try
             y = buffers.accept(y)
             if not buffers.y_new_finite:
                 raise NonFiniteStateError("state became non-finite", t)
@@ -353,10 +336,6 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
             h = max(h, h_next) if clipped else h_next
             rejected = False
             rejects_in_row = 0
-            while pending and t >= pending[0]:
-                if observer is not None:
-                    observer(t, y)
-                pending.pop(0)
         else:
             h = h_next
             rejected = True
@@ -364,8 +343,7 @@ def integrate(fun, y0: np.ndarray, t0: float, t_end: float,
             if rejects_in_row > MAX_REJECTS:
                 raise IntegrationError(
                     f"more than {MAX_REJECTS} consecutive step rejections", t)
-
-    return IntegrationResult(t, y, stats)
+    return stats
 
 
 def integrate_fixed(fun, y0: np.ndarray, t0: float, t_end: float, n_steps: int,

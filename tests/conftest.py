@@ -28,15 +28,14 @@ def paper_setup(m=200, dx=0.1, gamma_t=0.0, boundary="absorbing",
     return grid, n0, coeffs
 
 
-def soliton_run(m, gamma_t, s, t_end, output_times, tol=1e-9, track_center=False):
-    """Integrate a fundamental-soliton initial state and record the
-    center-cell ellipse history; ``track_center`` runs keep only that
-    history, not the full states."""
+def soliton_run(m, gamma_t, s, output_times, tol=1e-9, track_center=False):
+    """Integrate a fundamental-soliton initial state to its last output time
+    and record the center-cell ellipse history; ``track_center`` runs keep
+    only that history, not the full states."""
     grid, n0, coeffs = paper_setup(m=m, gamma_t=gamma_t)
     state0 = fundamental_soliton(grid, n0, PAPER_NTH, s)
     control = StepControl(atol=tol, rtol=tol)
-    states, stats = propagate(state0, coeffs, t_end, output_times=output_times,
-                              control=control)
+    states, stats = propagate(state0, coeffs, output_times, control=control)
     j = m // 2
     center_series = []
     for st in states:
@@ -58,13 +57,13 @@ def grid_times(t_end, step):
 @pytest.fixture(scope="session")
 def run_g0():
     """Lossless reference run; full states on a 0.1-spaced time grid."""
-    return soliton_run(200, 0.0, 0.0, 5.0, grid_times(5.0, 0.1))
+    return soliton_run(200, 0.0, 0.0, grid_times(5.0, 0.1))
 
 
 @pytest.fixture(scope="session")
 def run_gweak():
     """Weak damping (2 ps fiber), full states at the comparison times."""
-    return soliton_run(200, 5.8e-3, 0.0, 5.0, [1.0, 2.5, 5.0])
+    return soliton_run(200, 5.8e-3, 0.0, [1.0, 2.5, 5.0])
 
 
 @pytest.fixture(scope="session")
@@ -72,7 +71,7 @@ def center_series_by_gamma(run_g0):
     """Center-cell ellipse histories for the damping sweep."""
     out = {0.0: run_g0["center"]}
     for gamma in (0.05, 0.1):
-        run = soliton_run(200, gamma, 0.0, 5.0, grid_times(5.0, 0.1),
+        run = soliton_run(200, gamma, 0.0, grid_times(5.0, 0.1),
                           track_center=True)
         out[gamma] = run["center"]
     return out
@@ -83,22 +82,22 @@ def run_spair():
     """The ordering-consistency pair: identical physics at s = 0 and 0.85,
     integrated tightly so trajectory error stays below the comparison bar."""
     times = [1.0, 2.5, 5.0]
-    a = soliton_run(200, 5.8e-3, 0.0, 5.0, times, tol=1e-12)
-    b = soliton_run(200, 5.8e-3, 0.85, 5.0, times, tol=1e-12)
+    a = soliton_run(200, 5.8e-3, 0.0, times, tol=1e-12)
+    b = soliton_run(200, 5.8e-3, 0.85, times, tol=1e-12)
     return a, b
 
 
 @pytest.fixture(scope="session")
 def run_eta():
     """Symmetric-grid run (odd cell count) for the correlation structure."""
-    return soliton_run(201, 0.0, 0.0, 2.5, [2.5])
+    return soliton_run(201, 0.0, 0.0, [2.5])
 
 
 @pytest.fixture(scope="session")
 def run_phase():
     """Long lossless run tracking the center amplitude through a full
     nonlinear phase revolution (reduced domain keeps it affordable)."""
-    return soliton_run(120, 0.0, 0.0, 13.5, grid_times(13.5, 0.25),
+    return soliton_run(120, 0.0, 0.0, grid_times(13.5, 0.25),
                        track_center=True)
 
 
@@ -109,6 +108,5 @@ def run_balance():
                                   chi_on=False, n_th=0.25)
     n0 = 1e4  # modest scale; the balance identity is scale-free
     state0 = fundamental_soliton(grid, n0, 0.25, 0.0)
-    states, stats = propagate(state0, coeffs, 5.0,
-                              output_times=grid_times(5.0, 0.5))
+    states, stats = propagate(state0, coeffs, grid_times(5.0, 0.5))
     return {"grid": grid, "coeffs": coeffs, "states": states, "n0": n0}

@@ -62,7 +62,7 @@ def test_criterion_01_scaling_reproduction():
 def test_criterion_02_thermal_fixed_point():
     grid, _, coeffs = paper_setup(m=200, gamma_t=5.8e-3)
     state = thermal_state(grid, PAPER_NTH, 0.0)
-    states, _ = propagate(state, coeffs, 10.0, output_times=[10.0])
+    states, _ = propagate(state, coeffs, [10.0])
     final = states[0]
     drift = max(
         np.max(np.abs(final.cu - state.cu)),

@@ -143,6 +143,10 @@ class TestConfigValidation:
         cfg = tiny_config(t_end=0.01, output_times=[0.0050000001, 0.0050000002])
         with pytest.raises(ConfigError, match="label"):
             resolve_config(cfg)
+        # -0.0 and 0.0 are both the start, so both would write state_t0.npy
+        cfg = tiny_config(t_end=0.01, output_times=[-0.0, 0.0, 0.01])
+        with pytest.raises(ConfigError, match="label"):
+            resolve_config(cfg)
 
 
 class TestArtifacts:
@@ -541,7 +545,7 @@ class TestCommandLine:
             path.write_text(config if isinstance(config, str) else json.dumps(config))
         assert main([str(path) if arg == "CFG" else arg for arg in argv]) == code
         captured = capsys.readouterr()
-        assert message in (captured.out if code == 0 or not argv else captured.err)
+        assert message in (captured.out if code == 0 else captured.err)
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",

@@ -64,14 +64,15 @@ VALID = {
     "fundamental_soliton": (qsolsim.fundamental_soliton, lambda: dict(
         grid=GRID, n0=100.0, n_th=0.1, s=0.0)),
     "integrate": (qsolsim.integrate, lambda: dict(
-        fun=decay, y0=np.array([1.0, 2.0]), t0=0.0, t_end=0.5, output_times=[0.25])),
+        fun=decay, y0=np.array([1.0, 2.0]), t0=0.0, output_times=[0.25, 0.5],
+        observer=lambda t, y: None)),
     "integrate_fixed": (qsolsim.integrate_fixed, lambda: dict(
         fun=decay, y0=np.array([1.0, 2.0]), t0=0.0, t_end=0.5, n_steps=2)),
     "photon_correlation": (qsolsim.photon_correlation, lambda: dict(
         state=thermal(), omega_w0=np.array([0.0, 0.5]), delta_omega=3.0)),
     "propagate": (qsolsim.propagate, lambda: dict(
         state=thermal(), coeffs=qsolsim.RHSCoefficients(-1.0, 0.01, 0.1, 0.0, 0.1),
-        t_end=0.01, output_times=[0.005])),
+        output_times=[0.005, 0.01])),
     "reorder_s": (qsolsim.reorder_s, lambda: dict(state=thermal(), s_new=0.5)),
     "squeezing_spectrum": (qsolsim.squeezing_spectrum, lambda: dict(
         state=thermal(), lo=qsolsim.LOPulse(np.ones(3)), omega_w0=np.array([0.0, 0.5]),
@@ -118,7 +119,6 @@ NO_FLOATS = {
     "hamiltonian": "takes a checked FockConfig only",
     "CorrelationResult": "a result container",
     "CumulantDerivative": "a result container",
-    "IntegrationResult": "a result container",
     "SpectrumResult": "a result container",
     "GapReport": "a result container",
 }
@@ -179,6 +179,19 @@ def test_non_finite_argument_raises_value_error(name, key, bad):
     args = valid()
     args[key] = poisoned(args[key], bad)
     with pytest.raises(ValueError, match=rf"\b{key}\b"):
+        func(**args)
+
+
+@pytest.mark.parametrize("times", [[], [-0.1, 0.01]], ids=["empty", "before-start"])
+@pytest.mark.parametrize("name, key", [("integrate", "output_times"),
+                                       ("propagate", "output_times"),
+                                       ("evolve_density", "t_grid"),
+                                       ("closure_gap", "t_grid")])
+def test_no_time_or_one_before_the_start_names_the_times(name, key, times):
+    func, valid = VALID[name]
+    args = valid()
+    args[key] = times
+    with pytest.raises(ValueError, match=rf"\b{key} must be a non-empty list of times >="):
         func(**args)
 
 

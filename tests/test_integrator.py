@@ -49,6 +49,18 @@ class TestTableaus:
             Tableau(**(heun | change))
 
 
+def solve(fun, y0, t0, t_end, **kwargs):
+    """Integrate to t_end as the one output time; returns (t, y, stats) there."""
+    seen = []
+    stats = integrate(fun, y0, t0, [t_end], lambda t, y: seen.append((t, y.copy())), **kwargs)
+    [(t, y)] = seen
+    return t, y, stats
+
+
+def ignore(t, y):
+    pass
+
+
 def attempt(fun, y, h, tab, control):
     """One step attempt from (0, y) as integrate makes it."""
     buffers = _Buffers(y, tab)
@@ -156,65 +168,51 @@ class TestStep:
         def fun(t, y, out):
             np.multiply(y, -50.0 * math.cos(20.0 * t), out=out)
 
-        res = integrate(fun, np.array([1.0]), 0.0, 1.0, output_times=[0.3, 1.0],
-                        control=StepControl(atol=1e-10, rtol=1e-10))
-        assert res.stats.n_rejected > 0
-        assert len(calls) == res.stats.n_accepted + res.stats.n_rejected
+        stats = integrate(fun, np.array([1.0]), 0.0, [0.3, 1.0], ignore,
+                          control=StepControl(atol=1e-10, rtol=1e-10))
+        assert stats.n_rejected > 0
+        assert len(calls) == stats.n_accepted + stats.n_rejected
         # f(t0, y0) and the starting-step probe, then the stages of each attempt
-        assert res.stats.n_rhs == 2 + DORMAND_PRINCE_853.n_stages * len(calls)
+        assert stats.n_rhs == 2 + DORMAND_PRINCE_853.n_stages * len(calls)
 
 
 class TestIntegrate:
     def test_scalar_exponential(self):
-        res = integrate(lambda t, y, out: np.negative(y, out=out), np.array([1.0]), 0.0, 1.0)
-        assert res.y[0] == pytest.approx(math.exp(-1.0), rel=1e-9)
+        _, y, _ = solve(lambda t, y, out: np.negative(y, out=out), np.array([1.0]), 0.0, 1.0)
+        assert y[0] == pytest.approx(math.exp(-1.0), rel=1e-9)
 
     def test_reaches_end_exactly(self):
-        res = integrate(lambda t, y, out: np.multiply(y, np.cos(t), out=out), np.array([1.0]),
+        t, _, _ = solve(lambda t, y, out: np.multiply(y, np.cos(t), out=out), np.array([1.0]),
                         0.0, 2.7182)
-        assert res.t == 2.7182
+        assert t == 2.7182
 
     def test_zero_duration(self):
         seen = []
-        res = integrate(lambda t, y, out: np.negative(y, out=out), np.array([3.0]), 0.0, 0.0,
-                        output_times=[0.0],
-                        observer=lambda t, y: seen.append((t, y.copy())))
-        assert res.t == 0.0 and res.y[0] == 3.0
-        assert [(t, y.tolist()) for t, y in seen] == [(0.0, [3.0])]
+        stats = integrate(lambda t, y, out: np.negative(y, out=out), np.array([3.0]), 0.0,
+                          [0.0, 0.0], lambda t, y: seen.append((t, y.copy())))
+        assert [(t, y.tolist()) for t, y in seen] == [(0.0, [3.0]), (0.0, [3.0])]
+        assert stats.n_accepted == stats.n_rejected == 0
 
-    def test_output_time_just_past_the_end_ends_at_the_end(self):
-        # an output time within the 1e-15 slack of the range check must not
-        # stretch the last step past t_end
-        seen = []
-        res = integrate(lambda t, y, out: np.negative(y, out=out), np.array([1.0]), 0.0, 1.0,
-                        output_times=[1.0 + 5e-16], observer=lambda t, y: seen.append(t))
-        assert res.t == 1.0
-        assert seen == [1.0]
-
-    def test_output_time_just_before_the_start_is_the_start(self):
-        seen = []
-        res = integrate(lambda t, y, out: np.negative(y, out=out), np.array([1.0]), 0.0, 1.0,
-                        output_times=[-5e-16],
-                        observer=lambda t, y: seen.append((t, y.tolist())))
-        assert res.t == 1.0
-        assert seen == [(0.0, [1.0])]
+    @pytest.mark.parametrize("times", [[], [-5e-16], [1.0, -1.0]],
+                             ids=["empty", "just-before", "unsorted"])
+    def test_rejects_no_output_time_or_one_before_the_start(self, times):
+        calls = []
+        with pytest.raises(ValueError, match=r"output_times must be a non-empty list of times "
+                                             r">= t0 = 0\.0"):
+            integrate(lambda t, y, out: calls.append(t), np.array([1.0]), 0.0, times, ignore)
+        assert calls == []
 
     @pytest.mark.parametrize("tab", [DORMAND_PRINCE_54, DORMAND_PRINCE_853], ids=lambda t: t.name)
     def test_both_pairs_meet_a_tight_tolerance(self, tab):
-        res = integrate(lambda t, y, out: np.negative(y, out=out), np.array([1.0]), 0.0, 2.0,
-                        tableau=tab, control=StepControl(atol=1e-12, rtol=1e-10))
-        assert res.t == 2.0
-        assert res.y[0] == pytest.approx(math.exp(-2.0), rel=1e-8)
-        assert res.stats.n_accepted > 0
-
-    def test_rejects_non_finite_end(self):
-        with pytest.raises(ValueError, match="finite"):
-            integrate(lambda t, y, out: np.negative(y, out=out), [1.0], 0.0, math.nan)
+        t, y, stats = solve(lambda t, y, out: np.negative(y, out=out), np.array([1.0]), 0.0, 2.0,
+                            tableau=tab, control=StepControl(atol=1e-12, rtol=1e-10))
+        assert t == 2.0
+        assert y[0] == pytest.approx(math.exp(-2.0), rel=1e-8)
+        assert stats.n_accepted > 0
 
     def test_rejects_non_finite_output_time(self):
         with pytest.raises(ValueError, match="output_times must be finite"):
-            integrate(lambda t, y, out: np.negative(y, out=out), [1.0], 0.0, 1.0,
-                      output_times=[math.nan])
+            integrate(lambda t, y, out: np.negative(y, out=out), [1.0], 0.0, [math.nan], ignore)
 
     def test_rejects_non_finite_tolerance(self):
         with pytest.raises(ValueError, match="finite"):
@@ -222,9 +220,8 @@ class TestIntegrate:
 
     def test_output_times_hit_exactly(self):
         seen = []
-        integrate(lambda t, y, out: np.negative(y, out=out), np.array([1.0]), 0.0, 1.0,
-                  output_times=[0.25, 0.5, 0.75, 1.0],
-                  observer=lambda t, y: seen.append((t, y[0])))
+        integrate(lambda t, y, out: np.negative(y, out=out), np.array([1.0]), 0.0,
+                  [0.25, 0.5, 0.75, 1.0], lambda t, y: seen.append((t, y[0])))
         assert [t for t, _ in seen] == [0.25, 0.5, 0.75, 1.0]
         for t, val in seen:
             assert val == pytest.approx(math.exp(-t), rel=1e-9)
@@ -234,11 +231,10 @@ class TestIntegrate:
             out[:] = [y[1], -y[0] * (1 + 0.1 * np.sin(t))]
 
         seen_a, seen_b = [], []
-        a = integrate(fun, np.array([1.0, 0.0]), 0.0, 10.0, output_times=[5.0, 10.0],
-                      observer=lambda t, y: seen_a.append(y.tobytes()))
-        b = integrate(fun, np.array([1.0, 0.0]), 0.0, 10.0, output_times=[5.0, 10.0],
-                      observer=lambda t, y: seen_b.append(y.tobytes()))
-        assert a.y.tobytes() == b.y.tobytes()
+        integrate(fun, np.array([1.0, 0.0]), 0.0, [5.0, 10.0],
+                  lambda t, y: seen_a.append(y.tobytes()))
+        integrate(fun, np.array([1.0, 0.0]), 0.0, [5.0, 10.0],
+                  lambda t, y: seen_b.append(y.tobytes()))
         assert len(seen_a) == 2 and seen_a == seen_b
 
     def test_rejected_steps_keep_the_derivative_at_y(self):
@@ -254,15 +250,14 @@ class TestIntegrate:
         runs = []
         for _ in range(2):
             seen = []
-            res = integrate(fun, np.array([1.0]), 0.0, 1.0, output_times=times,
-                            control=StepControl(atol=1e-10, rtol=1e-10),
-                            observer=lambda t, y: seen.append(y[0]))
-            runs.append((res, seen))
-        (res, seen), (rerun, seen_again) = runs
-        assert res.stats.n_rejected > 0
-        for t, val in zip(times, seen):
+            stats = integrate(fun, np.array([1.0]), 0.0, times,
+                              lambda t, y: seen.append(y[0]),
+                              control=StepControl(atol=1e-10, rtol=1e-10))
+            runs.append((stats, seen))
+        (stats, seen), (_, seen_again) = runs
+        assert stats.n_rejected > 0
+        for t, val in zip(times, seen, strict=True):
             assert val == pytest.approx(math.exp(-2.5 * math.sin(20.0 * t)), rel=3e-9)
-        assert res.y.tobytes() == rerun.y.tobytes()
         assert np.array(seen).tobytes() == np.array(seen_again).tobytes()
 
     def test_tolerance_halving_never_hurts(self):
@@ -279,8 +274,8 @@ class TestIntegrate:
         errs = []
         for k in range(4):
             tol = 1e-6 / 2 ** k
-            res = integrate(fun, y0, 0.0, 3.0, control=StepControl(atol=tol, rtol=tol))
-            errs.append(np.max(np.abs(res.y - exact)))
+            _, y, _ = solve(fun, y0, 0.0, 3.0, control=StepControl(atol=tol, rtol=tol))
+            errs.append(np.max(np.abs(y - exact)))
         assert all(e2 <= e1 * 1.05 + 1e-15 for e1, e2 in zip(errs, errs[1:]))
 
     def test_underflow_aborts_with_time(self):
@@ -289,7 +284,7 @@ class TestIntegrate:
             np.divide(y, 0.5 - t, out=out)
 
         with pytest.raises((StepSizeUnderflow, IntegrationError)) as err:
-            integrate(fun, np.array([1.0]), 0.0, 1.0,
+            integrate(fun, np.array([1.0]), 0.0, [1.0], ignore,
                       control=StepControl(atol=1e-10, rtol=1e-10))
         assert err.value.t <= 0.5 + 1e-6
 
@@ -304,7 +299,7 @@ class TestIntegrate:
             np.negative(y, out=out)
 
         with pytest.raises(IntegrationError):
-            integrate(fun, np.arange(1.0, 5.0), 0.0, 1.0,
+            integrate(fun, np.arange(1.0, 5.0), 0.0, [1.0], ignore,
                       control=StepControl(atol=1e-300, rtol=1e-300))
         assert len(finite) > 2 and all(finite)
 
@@ -313,7 +308,7 @@ class TestIntegrate:
         # its error test without the state ever advancing
         with pytest.raises(IntegrationError) as err:
             integrate(lambda t, y, out: out.fill(1.0 if t == 0 else math.nan),
-                      np.array([1.0]), 0.0, 1.0)
+                      np.array([1.0]), 0.0, [1.0], ignore)
         assert type(err.value) is IntegrationError
         assert str(err.value) == "more than 50 consecutive step rejections (at t = 0.0)"
         assert err.value.t == 0.0
@@ -330,24 +325,24 @@ class TestIntegrate:
     def test_overflowing_derivative_norm_falls_back_to_a_small_first_step(self):
         # atol = 1e-200 makes the weighted derivative norm overflow, so the
         # Hairer first guess h0 = 0.01 d0/d1 is exactly 0
-        res = integrate(lambda t, y, out: out.fill(1.0), np.array([1.0, 0.0]), 0.0, 1.0,
-                        control=StepControl(atol=1e-200, rtol=1e-9))
-        assert res.t == 1.0
-        assert res.y == pytest.approx([2.0, 1.0], rel=1e-12)
-        assert res.stats.n_accepted == 9
+        t, y, stats = solve(lambda t, y, out: out.fill(1.0), np.array([1.0, 0.0]), 0.0, 1.0,
+                            control=StepControl(atol=1e-200, rtol=1e-9))
+        assert t == 1.0
+        assert y == pytest.approx([2.0, 1.0], rel=1e-12)
+        assert stats.n_accepted == 9
 
     def test_zero_error_with_underflowing_low_order_estimate(self):
         # the stage sums cancel exactly (e2 = 0) while 0.01 * e2_low underflows
         # to 0; the run goes on until the state overflows
         with pytest.raises(NonFiniteStateError) as err, np.errstate(over="ignore"):
-            integrate(lambda t, y, out: out.fill(1e150), np.array([1.0]), 0.0, 1e200,
+            integrate(lambda t, y, out: out.fill(1e150), np.array([1.0]), 0.0, [1e200], ignore,
                       control=StepControl(atol=1.0, rtol=1.0))
         assert err.value.t == pytest.approx(1.1e159, rel=0.05)
 
     def test_complex_state_support(self):
-        res = integrate(lambda t, y, out: np.multiply(y, 1j, out=out), np.array([1.0 + 0.0j]),
+        _, y, _ = solve(lambda t, y, out: np.multiply(y, 1j, out=out), np.array([1.0 + 0.0j]),
                         0.0, math.pi)
-        assert res.y[0] == pytest.approx(-1.0 + 0.0j, abs=1e-9)
+        assert y[0] == pytest.approx(-1.0 + 0.0j, abs=1e-9)
 
     @pytest.mark.parametrize("y0,ref", [
         ([1], [1.0]),
@@ -359,8 +354,8 @@ class TestIntegrate:
         def decay(t, y, out):
             np.negative(y, out=out)
 
-        res, want = integrate(decay, y0, 0.0, 1.0), integrate(decay, ref, 0.0, 1.0)
-        assert res.y.dtype == want.y.dtype and res.y.tobytes() == want.y.tobytes()
+        (_, y, _), (_, want, _) = solve(decay, y0, 0.0, 1.0), solve(decay, ref, 0.0, 1.0)
+        assert y.dtype == want.dtype and y.tobytes() == want.tobytes()
         fixed = integrate_fixed(decay, y0, 0.0, 1.0, 8)
         assert fixed.tobytes() == integrate_fixed(decay, ref, 0.0, 1.0, 8).tobytes()
 
@@ -394,7 +389,7 @@ class TestCumulantSystemIntegration:
         state = thermal_state(grid, 1e-16, 0.0)
         coeffs = RHSCoefficients(d2=-50.0, chi_t=1e-7, gamma_t=5.8e-3,
                                  delta_omega_t=0.0, n_th=1e-16)
-        states, _ = propagate(state, coeffs, 10.0, output_times=[10.0])
+        states, _ = propagate(state, coeffs, [10.0])
         drift = max(
             np.max(np.abs(states[0].cu - state.cu)),
             np.max(np.abs(states[0].cv - state.cv)),
@@ -418,7 +413,7 @@ class TestCumulantSystemIntegration:
         state = fundamental_soliton(GridSpec(m=16, dx=0.3), 4.0, 1e-3, 0.0)
         coeffs = RHSCoefficients(d2=-1.0 / 0.18, chi_t=0.25, gamma_t=0.05,
                                  delta_omega_t=0.0, n_th=1e-3)
-        _, stats = propagate(state, coeffs, 0.2)
+        _, stats = propagate(state, coeffs, [0.2])
         assert stats.n_rhs > 0
         assert len(calls) == stats.n_rhs
         assert all(calls)
@@ -431,7 +426,7 @@ class TestCumulantSystemIntegration:
         state = thermal_state(grid, 0.0, 1.0)
         state = type(state)(grid, 1.0, 0.0, np.array([2.0]), np.array([-1.0]),
                             state.cuu, state.cuv, state.cvv)
-        states, _ = propagate(state, coeffs, 2.0, output_times=[2.0],
+        states, _ = propagate(state, coeffs, [2.0],
                               control=StepControl(atol=1e-12, rtol=1e-12))
         final = states[0].cu[0] + 1j * states[0].cv[0]
         expected = (2.0 - 1.0j) * np.exp(-(gamma + 1j * dw) * 2.0)
@@ -451,7 +446,7 @@ class TestCumulantSystemIntegration:
         base = thermal_state(grid, 0.0, 1.0)
         state = type(base)(grid, 1.0, 0.0, cu, cv, base.cuu, base.cuv, base.cvv)
         t_end = 0.8
-        states, _ = propagate(state, coeffs, t_end, output_times=[t_end],
+        states, _ = propagate(state, coeffs, [t_end],
                               control=StepControl(atol=1e-12, rtol=1e-12))
         a0 = np.fft.fft(cu + 1j * cv)
         a1 = np.fft.fft(states[0].cu + 1j * states[0].cv)
@@ -462,8 +457,8 @@ class TestCumulantSystemIntegration:
 
 
 def test_step_statistics_recorded():
-    res = integrate(lambda t, y, out: np.negative(y, out=out), np.array([1.0]), 0.0, 5.0)
-    stats = res.stats.as_dict()
+    stats = integrate(lambda t, y, out: np.negative(y, out=out), np.array([1.0]), 0.0, [5.0],
+                      ignore).as_dict()
     assert stats["accepted_steps"] > 0
     assert stats["rhs_evaluations"] > stats["accepted_steps"]
     assert stats["smallest_step"] > 0

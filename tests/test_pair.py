@@ -34,7 +34,7 @@ def test_trajectory_is_bit_identical_inline_and_threaded(monkeypatch):
                              delta_omega_t=0.0, n_th=1e-3)
 
     def trajectory():
-        states, stats = propagate(state, coeffs, 0.1, output_times=[0.05, 0.1])
+        states, stats = propagate(state, coeffs, [0.05, 0.1])
         return b"".join(st.flatten().tobytes() for st in states), stats.as_dict()
 
     results = []

@@ -51,6 +51,6 @@ def test_trace_targets_run_on_the_calling_thread_only(monkeypatch):
     coeffs = dynamics.RHSCoefficients(d2=-8.0, chi_t=1e-4, gamma_t=0.05,
                                       delta_omega_t=0.0, n_th=1e-3)
     dynamics.rhs(state, coeffs)
-    dynamics.propagate(state, coeffs, 0.01)
+    dynamics.propagate(state, coeffs, [0.01])
     assert {"dynamics.rhs", "integrator.step"} <= {name for name, _ in calls}
     assert all(on_main for _, on_main in calls), [n for n, on_main in calls if not on_main]
