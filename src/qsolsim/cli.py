@@ -15,6 +15,10 @@ Artifacts go to the output directory:
 * ``<obs>_t<label>.csv`` -- one CSV per requested observable per output time
                             (intensity, ellipses, nrparams, spectrum, eta).
 
+A run without ``s_pair`` writes each output time's files when the
+integration reaches it; an ``s_pair`` run writes them once both trajectories
+have ended.  ``manifest.json`` comes last, so a failed run leaves none.
+
 Identical configs produce byte-identical outputs; there is no randomness
 anywhere in the pipeline.  Exit codes: 0 success, 2 config error,
 3 numerical failure.
@@ -37,7 +41,7 @@ from . import __version__
 from ._checks import finite
 from ._pair import run_beside
 from .dynamics import RHSCoefficients, propagate
-from .integrator import IntegrationError, StepControl
+from .integrator import IntegrationError, StepControl, StepStats
 from .observables import (
     LOPulse,
     _eta_window,
@@ -333,32 +337,43 @@ def emit_spectrum(result, path) -> dict:
 
 
 def emit_eta(result, path) -> dict:
-    """Long-form CSV, one row per frequency pair; return the manifest extras."""
-    k = len(result.omega)
-    _write_csv(path, ["omega1", "omega2", "eta"],
-               [np.repeat(result.omega, k), np.tile(result.omega, k), result.eta.ravel()])
+    """Long-form CSV, one row per frequency pair, in ``_write_csv``'s format
+    with each frequency formatted once; return the manifest extras."""
+    omegas = ["%.17g," % w for w in result.omega.tolist()]
+    with open(path, "w") as fh:
+        fh.write("omega1,omega2,eta\n")
+        for w1, etas in zip(omegas, result.eta.tolist()):
+            fh.write("".join([w1 + w2 + "%.17g\n" % v for w2, v in zip(omegas, etas)]))
     return {"delta_omega": result.delta_omega, "undefined_entries": result.n_undefined}
 
 
 # -- run orchestration -----------------------------------------------------------
 
 class _Side(NamedTuple):
-    """One trajectory: output states, integrator statistics, per-state results."""
+    """One s-pair trajectory: copied output states, integrator statistics,
+    per-state results."""
 
     states: list
-    stats: object
+    stats: StepStats
     results: list[dict]
 
 
-def _run_trajectory(rc: RunConfig, s: float) -> _Side:
-    """Propagate the run at ordering ``s`` to its last output time and evaluate
-    its observables."""
+def _run_trajectory(rc: RunConfig, s: float, observer) -> StepStats:
+    """Propagate the run at ordering ``s`` to its last output time, calling
+    ``observer`` at each output time; returns the step statistics."""
     if rc.initial == "soliton":
         state0 = fundamental_soliton(rc.grid, rc.scaled.n0, rc.scaled.n_th, s)
     else:
         state0 = thermal_state(rc.grid, rc.scaled.n_th, s)
-    states, stats = propagate(state0, rc.coeffs, rc.output_times,
-                              tableau=TABLEAUS[rc.method], control=rc.control)
+    return propagate(state0, rc.coeffs, rc.output_times, observer,
+                     tableau=TABLEAUS[rc.method], control=rc.control)
+
+
+def _kept_side(rc: RunConfig, s: float) -> _Side:
+    """An s-pair side: a copy of the state at each output time and, once the
+    integration has freed its work arrays, the observable results of each."""
+    states = []
+    stats = _run_trajectory(rc, s, lambda st: states.append(st.with_flat(st.flatten(), st.t)))
     return _Side(states, stats, [_observable_results(rc, state) for state in states])
 
 
@@ -429,14 +444,6 @@ def run(cfg: dict, out_dir) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {str(out)!r}: {exc}") from exc
 
-    # an s-pair run's twin (at s_pair[1]; s_pair[0] is s) propagates beside the
-    # primary; both end before any file is written
-    if rc.s_pair is None:
-        primary, twin = _run_trajectory(rc, rc.s), None
-    else:
-        primary, twin = run_beside(*(functools.partial(_run_trajectory, rc, s)
-                                     for s in rc.s_pair))
-
     # kind -> emitter of the state or of that kind's observable result; built
     # here so each name is looked up when the run starts, not at import
     emitters = {"state": emit_state, "intensity": emit_intensity,
@@ -444,7 +451,10 @@ def run(cfg: dict, out_dir) -> dict:
                 "spectrum": emit_spectrum, "eta": emit_eta}
     outputs = []
     worst_heisenberg = math.inf
-    for state, results in zip(primary.states, primary.results):
+
+    def write(state, results):
+        """Write one output time's files and list them for the manifest."""
+        nonlocal worst_heisenberg
         label = _time_label(state.t)
         worst_heisenberg = min(worst_heisenberg, validate(state).heisenberg_margin)
         for kind in ("state", *rc.observables):
@@ -452,6 +462,19 @@ def run(cfg: dict, out_dir) -> dict:
             extras = emitters[kind](results.get(kind, state), path)
             outputs.append({"path": path.name, "kind": kind, "t": state.t,
                             **(extras or {})})
+
+    # a single trajectory writes each output time as the integration reaches
+    # it; an s-pair run's twin (at s_pair[1]; s_pair[0] is s) propagates beside
+    # the primary, and both end before any file is written
+    if rc.s_pair is None:
+        stats = _run_trajectory(rc, rc.s,
+                                lambda state: write(state, _observable_results(rc, state)))
+    else:
+        primary, twin = run_beside(*(functools.partial(_kept_side, rc, s)
+                                     for s in rc.s_pair))
+        for state, results in zip(primary.states, primary.results):
+            write(state, results)
+        stats = primary.stats
 
     scaled = dataclasses.asdict(rc.scaled)
     scaled["t_d_seconds"], scaled["x_d_meters"] = scaled.pop("t_d"), scaled.pop("x_d")
@@ -474,12 +497,12 @@ def run(cfg: dict, out_dir) -> dict:
             "method": rc.method,
             "atol": rc.control.atol,
             "rtol": rc.control.rtol,
-            "stats": primary.stats.as_dict(),
+            "stats": stats.as_dict(),
         },
         "min_heisenberg_margin": worst_heisenberg,
         "outputs": outputs,
     }
-    if twin is not None:
+    if rc.s_pair is not None:
         manifest["s_pair_report"] = _s_pair_report(rc, primary, twin)
     _write_json(out / "manifest.json", manifest)
     return manifest

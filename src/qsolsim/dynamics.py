@@ -49,7 +49,7 @@ import numpy as np
 
 from ._checks import finite, non_negative
 from ._pair import run_pair
-from .integrator import StepControl, integrate
+from .integrator import StepControl, StepStats, integrate
 from .observables import intensity
 from .state import CumulantDerivative, CumulantState, split_flat
 from .tableaus import DORMAND_PRINCE_853, Tableau
@@ -343,23 +343,22 @@ def photon_balance_residual(state: CumulantState, deriv: CumulantDerivative,
 
 
 def propagate(state: CumulantState, coeffs: RHSCoefficients, output_times,
-              tableau: Tableau = DORMAND_PRINCE_853,
-              control: StepControl = StepControl()):
+              observer=lambda state: None, tableau: Tableau = DORMAND_PRINCE_853,
+              control: StepControl = StepControl()) -> StepStats:
     """Integrate the cumulant system from state.t to the last of
-    ``output_times`` (scaled time, none before state.t).
+    ``output_times`` (scaled time, none before state.t); returns the
+    integrator step statistics.
 
-    Returns (states, stats): a copy of the state at each output time, in
-    ascending order, and the integrator step statistics.
+    At each output time, in ascending order, ``observer(st)`` is called with
+    a state whose blocks are views of the integrator's work vector, valid
+    only during the call; an observer that keeps it copies it with
+    ``st.with_flat(st.flatten(), st.t)``.
     """
     scratch = rhs_scratch(state.grid.m)
 
     def fun(t, y, out):
         rhs(state.with_flat(y, t), coeffs, out=out, scratch=scratch)
 
-    states: list[CumulantState] = []
-    stats = integrate(
-        fun, state.flatten(), state.t, output_times,
-        lambda t, y: states.append(state.with_flat(np.array(y, copy=True), t)),
-        tableau=tableau, control=control,
-    )
-    return states, stats
+    return integrate(fun, state.flatten(), state.t, output_times,
+                     lambda t, y: observer(state.with_flat(y, t)),
+                     tableau=tableau, control=control)

@@ -364,8 +364,10 @@ def closure_gap(config: FockConfig, kind: str, t_grid, alphas=None, n: float = 0
     rho0 = initial_density(config, kind, alphas=alphas, n=n)
     rhos = evolve_density(config, rho0, t_grid, control=control)
     state0 = matching_initial_state(config, kind, alphas=alphas, n=n)
-    states, _ = propagate(state0, config.coefficients(), t_grid,
-                          control=control or _CONTROL)
+    states = []
+    propagate(state0, config.coefficients(), t_grid,
+              lambda st: states.append(st.with_flat(st.flatten(), st.t)),
+              control=control or _CONTROL)
     states = _in_caller_order(t_grid, states)
 
     gap1, gap2, scale1, scale2 = [], [], [], []

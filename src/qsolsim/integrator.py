@@ -291,8 +291,10 @@ def integrate(fun, y0: np.ndarray, t0: float, output_times, observer,
     ``out``.  ``output_times`` (none before t0) are hit exactly by clipping
     the step; at each one, in ascending order, ``observer(t, y)`` is called.
     ``y`` is a work array that later steps overwrite, so an observer that
-    keeps it must copy it.  The step size resumes its adaptive suggestion
-    after a clipped step.
+    keeps it must copy it.  Output times at t0 are observed before f is
+    first evaluated, and an integration with no other returns there; the
+    last output time is observed after the stage array is freed.  The step
+    size resumes its adaptive suggestion after a clipped step.
 
     Each attempted step is one call of this module's ``step``, looked up at
     call time, so a wrapper installed on the module sees every attempt.
@@ -304,6 +306,11 @@ def integrate(fun, y0: np.ndarray, t0: float, output_times, observer,
     if not pending or pending[0] < finite("t0", t0):
         raise ValueError(f"output_times must be a non-empty list of times >= t0 = {t0}")
     stats = StepStats()
+    while pending and pending[0] == t0:  # before any evaluation or stage array
+        observer(t0, y)
+        pending.pop(0)
+    if not pending:
+        return stats
     t = t0
     buffers = _Buffers(y, tableau)
     fun(t, y, buffers.k[0])
@@ -317,6 +324,8 @@ def integrate(fun, y0: np.ndarray, t0: float, output_times, observer,
     rejects_in_row = 0
     while pending:
         if t == pending[0]:
+            if len(pending) == 1:  # free the stage array before the last observer runs
+                buffers = None
             observer(t, y)
             pending.pop(0)
             continue

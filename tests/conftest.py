@@ -28,6 +28,14 @@ def paper_setup(m=200, dx=0.1, gamma_t=0.0, boundary="absorbing",
     return grid, n0, coeffs
 
 
+class Copies(list):
+    """A ``propagate`` observer that keeps a copy of the state at each output
+    time (the states it is handed are views of the integrator's work vector)."""
+
+    def __call__(self, state):
+        self.append(state.with_flat(state.flatten(), state.t))
+
+
 def soliton_run(m, gamma_t, s, output_times, tol=1e-9, track_center=False):
     """Integrate a fundamental-soliton initial state to its last output time
     and record the center-cell ellipse history; ``track_center`` runs keep
@@ -35,15 +43,17 @@ def soliton_run(m, gamma_t, s, output_times, tol=1e-9, track_center=False):
     grid, n0, coeffs = paper_setup(m=m, gamma_t=gamma_t)
     state0 = fundamental_soliton(grid, n0, PAPER_NTH, s)
     control = StepControl(atol=tol, rtol=tol)
-    states, stats = propagate(state0, coeffs, output_times, control=control)
     j = m // 2
-    center_series = []
-    for st in states:
+    states, center_series = Copies(), []
+
+    def observe(st):
         big, small, _ = ellipse_arrays(st)
         center_series.append((st.t, float(big[j]), float(small[j]),
                               complex(st.cu[j] + 1j * st.cv[j])))
-    if track_center:
-        states = []
+        if not track_center:
+            states(st)
+
+    stats = propagate(state0, coeffs, output_times, observe, control=control)
     return {
         "grid": grid, "n0": n0, "coeffs": coeffs, "states": states,
         "stats": stats, "center": center_series, "s": s, "gamma_t": gamma_t,
@@ -108,5 +118,6 @@ def run_balance():
                                   chi_on=False, n_th=0.25)
     n0 = 1e4  # modest scale; the balance identity is scale-free
     state0 = fundamental_soliton(grid, n0, 0.25, 0.0)
-    states, stats = propagate(state0, coeffs, grid_times(5.0, 0.5))
+    states = Copies()
+    propagate(state0, coeffs, grid_times(5.0, 0.5), states)
     return {"grid": grid, "coeffs": coeffs, "states": states, "n0": n0}

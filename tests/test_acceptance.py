@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from conftest import PAPER_NTH, paper_setup
+from conftest import PAPER_NTH, Copies, paper_setup
 
 from qsolsim.dynamics import RHSCoefficients, propagate, rhs
 from qsolsim.fock import FockConfig, closure_gap
@@ -62,7 +62,8 @@ def test_criterion_01_scaling_reproduction():
 def test_criterion_02_thermal_fixed_point():
     grid, _, coeffs = paper_setup(m=200, gamma_t=5.8e-3)
     state = thermal_state(grid, PAPER_NTH, 0.0)
-    states, _ = propagate(state, coeffs, [10.0])
+    states = Copies()
+    propagate(state, coeffs, [10.0], states)
     final = states[0]
     drift = max(
         np.max(np.abs(final.cu - state.cu)),

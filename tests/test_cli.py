@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from qsolsim.cli import (
     resolve_config,
     run,
 )
-from qsolsim.observables import LOPulse
+from qsolsim.observables import CorrelationResult, LOPulse
 from qsolsim.scenarios import SCENARIOS, scenario_config
 from qsolsim.state import GridSpec, thermal_state
 
@@ -272,6 +273,20 @@ class TestArtifacts:
         expected = "j,x,y\n" + "".join(
             f"{int(a)},{format(float(b), '.17g')},{format(float(c), '.17g')}\n"
             for a, b, c in zip(j, x, y))
+        assert path.read_text() == expected
+
+    def test_eta_csv_matches_per_value_rendering(self, tmp_path):
+        rng = np.random.default_rng(4)
+        omega = np.array([-2.5, -0.0, 0.0, 5e-324, 0.1, 3.0])
+        eta = rng.normal(size=(6, 6)) * 10.0 ** rng.integers(-300, 300, size=(6, 6))
+        eta[0, :4] = [np.nan, -0.0, np.inf, -np.inf]
+        eta[3, 5] = np.nan
+        path = tmp_path / "eta.csv"
+        extras = cli.emit_eta(CorrelationResult(omega, eta, np.ones(6), 0.5, 2), path)
+        assert extras == {"delta_omega": 0.5, "undefined_entries": 2}
+        expected = "omega1,omega2,eta\n" + "".join(
+            ",".join(format(float(v), ".17g") for v in (a, b, eta[i, j])) + "\n"
+            for i, a in enumerate(omega) for j, b in enumerate(omega))
         assert path.read_text() == expected
 
     def test_manifest_rederives_scaled_coefficients(self, tmp_path):
@@ -687,6 +702,36 @@ def test_failing_twin_writes_no_output_file(tmp_path):
     proc = run_forking_cli(tmp_path, "twin-fails")[0]
     assert proc.returncode == 3, proc.stderr
     assert list((tmp_path / "forked").iterdir()) == []
+
+
+def test_failed_single_run_leaves_the_files_of_the_times_it_reached(tmp_path):
+    # the t = 0 files are written before the first step; no step at 1e-300 is accepted
+    cfg = tiny_config(t_end=1.0, output_times=[0.0, 1.0], atol=1e-300, rtol=1e-300)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["intensity_t0.csv", "state_t0.npy"]
+    assert load_state(out / "state_t0.npy").t == 0.0
+
+
+def test_peak_memory_does_not_grow_with_output_times(tmp_path):
+    # a single trajectory writes each output time from views of the
+    # integrator's work vector, so it keeps no state per output time
+    m = 40
+
+    def peak(n):
+        cfg = tiny_config(m=m, t_end=0.2, output_times=np.linspace(0.0, 0.2, n).tolist())
+        tracemalloc.start()
+        try:
+            run(cfg, tmp_path / str(n))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first-call allocations
+    state_bytes = 8 * (2 * m + 3 * m * m)
+    assert abs(peak(21) - peak(2)) < state_bytes
 
 
 @pytest.mark.parametrize("physical, code", [

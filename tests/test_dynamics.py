@@ -24,6 +24,8 @@ from qsolsim.state import (
     thermal_state,
 )
 
+from conftest import Copies
+
 
 def random_state(m=7, s=0.3, boundary="absorbing", seed=5, scale=1.0):
     rng = np.random.default_rng(seed)
@@ -256,7 +258,8 @@ class TestStructuralInvariants:
         state = reorder_s(fundamental_soliton(grid, 1e4, 1e-3, 0.0), 0.85)
         coeffs = RHSCoefficients(d2=-8.0, chi_t=1e-2, gamma_t=0.05,
                                  delta_omega_t=0.3, n_th=1e-3)
-        states, _ = propagate(state, coeffs, [0.02, 0.05])
+        states = Copies()
+        propagate(state, coeffs, [0.02, 0.05], states)
         for st in (state, *states):
             assert np.array_equal(st.cuu, st.cuu.T) and np.array_equal(st.cvv, st.cvv.T)
         if m > 1:  # the run built off-diagonal covariances
@@ -330,8 +333,8 @@ class TestPhotonBalance:
         assert abs(res) < 1e-10 * total
 
         eps = 1e-6
-        states, _ = propagate(state, coeffs, [eps],
-                              control=StepControl(atol=1e-13, rtol=1e-13))
+        states = Copies()
+        propagate(state, coeffs, [eps], states, control=StepControl(atol=1e-13, rtol=1e-13))
         total_after = float(np.sum(intensity(states[0])))
         fd = (total_after - total) / eps
         exact = -2.0 * coeffs.gamma_t * float(np.sum(intensity(state) - coeffs.n_th))
@@ -347,7 +350,8 @@ class TestPhotonBalance:
         state = fundamental_soliton(grid, n0, 0.0, 0.0)
         coeffs = RHSCoefficients(d2=-12.5, chi_t=1.0 / n0, gamma_t=0.05,
                                  delta_omega_t=0.0, n_th=0.0)
-        states, _ = propagate(state, coeffs, [0.5])
+        states = Copies()
+        propagate(state, coeffs, [0.5], states)
         evolved = states[0]
         res = photon_balance_residual(evolved, rhs(evolved, coeffs), coeffs)
         assert np.isfinite(res)

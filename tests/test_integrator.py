@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from qsolsim.integrator import (
 )
 from qsolsim.state import GridSpec, fundamental_soliton, thermal_state
 from qsolsim.tableaus import DORMAND_PRINCE_54, DORMAND_PRINCE_853, Tableau
+
+from conftest import Copies
 
 
 class TestTableaus:
@@ -192,6 +195,18 @@ class TestIntegrate:
                           [0.0, 0.0], lambda t, y: seen.append((t, y.copy())))
         assert [(t, y.tolist()) for t, y in seen] == [(0.0, [3.0]), (0.0, [3.0])]
         assert stats.n_accepted == stats.n_rejected == 0
+        assert stats.n_rhs == 0
+
+    def test_stage_array_is_freed_before_the_last_observation(self):
+        y0 = np.ones(100_000)
+        traced = []
+        tracemalloc.start()
+        try:
+            integrate(lambda t, y, out: np.negative(y, out=out), y0, 0.0, [0.5, 1.0],
+                      lambda t, y: traced.append(tracemalloc.get_traced_memory()[0]))
+        finally:
+            tracemalloc.stop()
+        assert traced[0] - traced[1] >= (DORMAND_PRINCE_853.n_stages + 1) * y0.nbytes
 
     @pytest.mark.parametrize("times", [[], [-5e-16], [1.0, -1.0]],
                              ids=["empty", "just-before", "unsorted"])
@@ -389,7 +404,8 @@ class TestCumulantSystemIntegration:
         state = thermal_state(grid, 1e-16, 0.0)
         coeffs = RHSCoefficients(d2=-50.0, chi_t=1e-7, gamma_t=5.8e-3,
                                  delta_omega_t=0.0, n_th=1e-16)
-        states, _ = propagate(state, coeffs, [10.0])
+        states = Copies()
+        propagate(state, coeffs, [10.0], states)
         drift = max(
             np.max(np.abs(states[0].cu - state.cu)),
             np.max(np.abs(states[0].cv - state.cv)),
@@ -413,7 +429,7 @@ class TestCumulantSystemIntegration:
         state = fundamental_soliton(GridSpec(m=16, dx=0.3), 4.0, 1e-3, 0.0)
         coeffs = RHSCoefficients(d2=-1.0 / 0.18, chi_t=0.25, gamma_t=0.05,
                                  delta_omega_t=0.0, n_th=1e-3)
-        _, stats = propagate(state, coeffs, [0.2])
+        stats = propagate(state, coeffs, [0.2])
         assert stats.n_rhs > 0
         assert len(calls) == stats.n_rhs
         assert all(calls)
@@ -426,8 +442,8 @@ class TestCumulantSystemIntegration:
         state = thermal_state(grid, 0.0, 1.0)
         state = type(state)(grid, 1.0, 0.0, np.array([2.0]), np.array([-1.0]),
                             state.cuu, state.cuv, state.cvv)
-        states, _ = propagate(state, coeffs, [2.0],
-                              control=StepControl(atol=1e-12, rtol=1e-12))
+        states = Copies()
+        propagate(state, coeffs, [2.0], states, control=StepControl(atol=1e-12, rtol=1e-12))
         final = states[0].cu[0] + 1j * states[0].cv[0]
         expected = (2.0 - 1.0j) * np.exp(-(gamma + 1j * dw) * 2.0)
         assert abs(final - expected) < 1e-8
@@ -446,8 +462,8 @@ class TestCumulantSystemIntegration:
         base = thermal_state(grid, 0.0, 1.0)
         state = type(base)(grid, 1.0, 0.0, cu, cv, base.cuu, base.cuv, base.cvv)
         t_end = 0.8
-        states, _ = propagate(state, coeffs, [t_end],
-                              control=StepControl(atol=1e-12, rtol=1e-12))
+        states = Copies()
+        propagate(state, coeffs, [t_end], states, control=StepControl(atol=1e-12, rtol=1e-12))
         a0 = np.fft.fft(cu + 1j * cv)
         a1 = np.fft.fft(states[0].cu + 1j * states[0].cv)
         k = 2.0 * math.pi * np.fft.fftfreq(m, d=dx)

@@ -18,6 +18,8 @@ from qsolsim import _pair
 from qsolsim.dynamics import RHSCoefficients, propagate
 from qsolsim.state import GridSpec, fundamental_soliton
 
+from conftest import Copies
+
 
 @pytest.fixture(params=["inline", "threaded"])
 def cpus(request, monkeypatch):
@@ -34,7 +36,8 @@ def test_trajectory_is_bit_identical_inline_and_threaded(monkeypatch):
                              delta_omega_t=0.0, n_th=1e-3)
 
     def trajectory():
-        states, stats = propagate(state, coeffs, [0.05, 0.1])
+        states = Copies()
+        stats = propagate(state, coeffs, [0.05, 0.1], states)
         return b"".join(st.flatten().tobytes() for st in states), stats.as_dict()
 
     results = []
