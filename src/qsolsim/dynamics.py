@@ -94,40 +94,33 @@ class RHSCoefficients:
 
 # -- boundary-aware stencils -------------------------------------------------
 
-def lap_rows(f: np.ndarray, boundary: str, out=None, tmp=None,
+def lap_rows(f: np.ndarray, boundary: str, out=None,
              lo: int = 0, hi: int | None = None) -> np.ndarray:
     """f(j+1) - 2 f(j) + f(j-1) along the first (row) index, written into ``out``.
 
     Only rows [lo, hi) of ``out`` are written (all of them by default), each
-    with the same operations whatever the range: (-2 f + f(j+1)) + f(j-1)
-    for absorbing walls, -2 f + (f(j-1) + f(j+1)) with wrapped neighbours
-    for a periodic grid.  A periodic stencil needs ``tmp`` (same shape as f)
-    for the neighbour sum; both buffers are allocated when not given.  The
-    stencil along the second index is this one on transposed views of f,
-    ``out`` and ``tmp``.
+    as (-2 f + f(j+1)) + f(j-1) whatever the range or boundary: absorbing
+    walls leave out the neighbour beyond the grid, and a periodic grid adds
+    the wrapped one in its place (f[0] as row n-1's f(j+1), f[n-1] as row
+    0's f(j-1)).  ``out`` is allocated when not given; it is the only array
+    written.  The stencil along the second index is this one on transposed
+    views of f and ``out``.
     """
     if out is None:
         out = np.empty_like(f)
-    if tmp is None and boundary == "periodic":
-        tmp = np.empty_like(f)
     n = len(f)
     hi = n if hi is None else hi
     a, b = max(lo, 1), min(hi, n - 1)
+    wrap = boundary == "periodic"
     np.multiply(f[lo:hi], -2.0, out=out[lo:hi])
-    if boundary == "periodic":
-        # tmp = roll(f, 1) + roll(f, -1), built from slices instead of copies
-        if a < b:
-            np.add(f[a - 1:b - 1], f[a + 1:b + 1], out=tmp[a:b])
-        if lo == 0 < hi:
-            np.add(f[n - 1:], f[1 % n:1 % n + 1], out=tmp[:1])
-        if lo < hi == n:
-            np.add(f[(n - 2) % n:(n - 2) % n + 1], f[:1], out=tmp[n - 1:])
-        out[lo:hi] += tmp[lo:hi]
-    else:  # absorbing: out-of-range cells read as zero
-        if lo < b:
-            out[lo:b] += f[lo + 1:b + 1]
-        if a < hi:
-            out[a:hi] += f[a - 1:hi - 1]
+    if lo < b:
+        out[lo:b] += f[lo + 1:b + 1]
+    if wrap and lo < hi == n:
+        out[n - 1:] += f[:1]
+    if a < hi:
+        out[a:hi] += f[a - 1:hi - 1]
+    if wrap and lo == 0 < hi:
+        out[:1] += f[n - 1:]
     return out
 
 
@@ -228,7 +221,7 @@ class _SecondOrder:
         rotate(0.0, rot, out=out)
         np.fill_diagonal(out, rotate(self.src + (sign * self.sx) * self.h, np.diagonal(rot)))
         out -= np.multiply(cxx, self.two_gamma, out=tmp)
-        lap_rows(view(st.cuv), self.bnd, view(tmp), view(acc))
+        lap_rows(view(st.cuv), self.bnd, view(tmp))
         np.add(tmp, tmp.T, out=acc)
         acc *= -sign * self.d2
         out += acc
@@ -243,14 +236,13 @@ class _SecondOrder:
 
     def uv_rows(self, lo: int, hi: int, duv, tmp, acc) -> None:
         """Rows [lo, hi) of the uv block, writing only those rows of ``duv``,
-        ``tmp`` and ``acc``; the rows of ``duv`` hold the periodic neighbour
-        sum of lapL(cvv) until the dispersion term is formed."""
+        ``tmp`` and ``acc``."""
         st, x = self.state, self.x
         rows = slice(lo, hi)
         cuu, cuv, cvv = st.cuu[rows], st.cuv[rows], st.cvv[rows]
         t, a = tmp[rows], acc[rows]
-        lap_rows(cuu.T, self.bnd, t.T, a.T)  # lapR(cuu)
-        t -= lap_rows(st.cvv, self.bnd, acc, duv, lo, hi)[rows]
+        lap_rows(cuu.T, self.bnd, t.T)  # lapR(cuu)
+        t -= lap_rows(st.cvv, self.bnd, acc, lo, hi)[rows]
         t *= self.d2
         duv = duv[rows]
         duv.fill(0.0)

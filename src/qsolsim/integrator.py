@@ -320,7 +320,6 @@ def integrate(fun, y0: np.ndarray, t0: float, output_times, observer,
     if not math.isfinite(h) or h <= 0:  # pathological scales; let control sort it out
         h = min(pending[-1] - t0, 1e-6)
 
-    rejected = False
     rejects_in_row = 0
     while pending:
         if t == pending[0]:
@@ -335,7 +334,8 @@ def integrate(fun, y0: np.ndarray, t0: float, output_times, observer,
                 f"step size {h:.3e} fell below the floor {h_floor:.3e}", t)
         clipped = t + h >= pending[0]
         h_try = pending[0] - t if clipped else h
-        accepted, h_next = step(fun, t, y, h_try, tableau, control, buffers, stats, rejected)
+        accepted, h_next = step(fun, t, y, h_try, tableau, control, buffers, stats,
+                               rejects_in_row > 0)
         if accepted:
             t = pending[0] if clipped else t + h_try
             y = buffers.accept(y)
@@ -343,11 +343,9 @@ def integrate(fun, y0: np.ndarray, t0: float, output_times, observer,
                 raise NonFiniteStateError("state became non-finite", t)
             # resume the adaptive suggestion rather than the clipped size
             h = max(h, h_next) if clipped else h_next
-            rejected = False
             rejects_in_row = 0
         else:
             h = h_next
-            rejected = True
             rejects_in_row += 1
             if rejects_in_row > MAX_REJECTS:
                 raise IntegrationError(

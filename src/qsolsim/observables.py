@@ -208,9 +208,9 @@ def squeezing_spectrum(state: CumulantState, lo: LOPulse, omega_w0,
         finite("phase", phase)
     omega = _omega_internal(state.grid, omega_w0)
     x = state.grid.positions()
-    k_f, k_g = _kernels(state)
-    k_fl = np.conj(k_f)
-    k_gl = np.conj(k_g)
+    k_fl, k_gl = _kernels(state)  # fresh arrays: conjugated in place
+    np.conjugate(k_fl, out=k_fl)
+    np.conjugate(k_gl, out=k_gl)
 
     phases = np.exp(1j * np.outer(omega, x))
     w = phases * lo.amplitudes[None, :]

@@ -573,7 +573,8 @@ def test_outputs_do_not_depend_on_blas_threads_or_cpus(tmp_path, grid):
     # (the package's default applies), one BLAS thread set explicitly, empty
     # BLAS variables (which BLAS reads as unset), and one CPU in the affinity
     # mask (the halves run inline); absorbing walls, and a periodic grid at
-    # odd m, where each half's uv rows hold its wrapped neighbour sums
+    # odd m, where the halves' uv row ranges are unequal and each holds one
+    # of the stencil's two wrapped end rows
     base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     base["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     args = [sys.executable, "-m", "qsolsim.cli", "run", "--scenario", "intensity-weak-loss",

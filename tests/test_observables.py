@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,23 @@ class TestSqueezingSpectrum:
         b = squeezing_spectrum(reorder_s(state, -0.5), lo, omega)
         scale = np.max(np.abs(a.s_min))
         assert np.max(np.abs(a.s_min - b.s_min)) / scale < 1e-10
+
+    def test_peak_memory_holds_the_kernels_once(self):
+        # on the full frequency grid: the two kernels, the LO phase matrices
+        # and the einsum operands take seven complex m x m arrays at once;
+        # conjugated copies of the kernels would make it nine
+        grid = GridSpec(m=100, dx=0.1)
+        state = fundamental_soliton(grid, 100.0, 0.0, 0.0)
+        lo = LOPulse.soliton(grid, 100.0)
+        omega = frequency_grid(grid)
+        squeezing_spectrum(state, lo, omega)  # first-call allocations
+        tracemalloc.start()
+        try:
+            squeezing_spectrum(state, lo, omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16 * grid.m ** 2
 
     def test_zero_lo_rejected(self):
         with pytest.raises(ValueError):
